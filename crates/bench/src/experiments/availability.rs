@@ -8,6 +8,7 @@
 
 use crate::registry::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::{outln, profile_workload, Scale, ScenarioBuilder, World};
+use sky_core::cloud::{FaultKind, FaultPlan};
 use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
@@ -74,9 +75,15 @@ impl Experiment for Availability {
                 start + SimDuration::from_days(day as u64) + SimDuration::from_hours(1),
             );
             if day == outage_day {
-                world
-                    .engine
-                    .inject_outage(&single_zone, SimDuration::from_hours(20));
+                let outage = FaultPlan::new()
+                    .with_event(
+                        single_zone.clone(),
+                        world.engine.now(),
+                        SimDuration::from_hours(20),
+                        FaultKind::Outage,
+                    )
+                    .expect("a 20-hour outage is a valid fault");
+                world.engine.set_fault_plan(&outage);
             }
             // Daily probes (health + characterization).
             let mut store = CharacterizationStore::new();

@@ -7,17 +7,11 @@
 //! outcome counts, windows, forwards, events), so the experiment is
 //! `deterministic()` and golden-pinned at quick scale — the `engine-scale`
 //! CI job runs it at all three shard counts through the normal golden
-//! gate. Host wall-clock throughput per shard count goes to stderr and
-//! the `BENCH_engine_fleet.json` artifact, never into the golden text.
+//! gate. Host-time measurements of the fleet live in `perfbench`'s
+//! `fleet_ring` workload.
 //!
 //! [`ShardedFleet`]: sky_core::faas::ShardedFleet
 //! [`FleetReport::digest`]: sky_core::faas::FleetReport
-
-// Wall-clock throughput measurement, like bench_engine (sky-lint D002
-// allowlists the bench crate; clippy's `Instant::now` ban is lifted).
-#![allow(clippy::disallowed_methods)]
-
-use std::time::Instant;
 
 use crate::registry::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::{outln, Scale, ScenarioBuilder};
@@ -83,19 +77,15 @@ fn fleet_requests(scale: Scale, lanes: usize) -> Vec<FleetRequest> {
 struct ShardRun {
     shards: usize,
     report: FleetReport,
-    wall_s: f64,
 }
 
 fn run_with_shards(catalog: &Catalog, seed: u64, scale: Scale, shards: usize) -> ShardRun {
     let azs = ScenarioBuilder::az_list(lane_names(scale));
     let mut fleet = ShardedFleet::new(catalog, FleetConfig::new(seed), &azs, MEMORY_MB, shards);
     let requests = fleet_requests(scale, azs.len());
-    let start = Instant::now();
-    let report = fleet.run(&requests);
     ShardRun {
         shards,
-        report,
-        wall_s: start.elapsed().as_secs_f64(),
+        report: fleet.run(&requests),
     }
 }
 
@@ -128,15 +118,7 @@ impl Experiment for BenchEngineFleet {
         let catalog = Catalog::paper_world(ctx.seed);
         let runs: Vec<ShardRun> = SHARD_COUNTS
             .iter()
-            .map(|&shards| {
-                eprintln!("fleet run with {shards} shard(s)...");
-                let run = run_with_shards(&catalog, ctx.seed, ctx.scale, shards);
-                eprintln!(
-                    "  {:.2}s wall, {} sim events, digest {:016x}",
-                    run.wall_s, run.report.events, run.report.digest
-                );
-                run
-            })
+            .map(|&shards| run_with_shards(&catalog, ctx.seed, ctx.scale, shards))
             .collect();
         let base = &runs[0].report;
 
@@ -204,35 +186,6 @@ impl Experiment for BenchEngineFleet {
             outln!(ctx, "  {} {:016x}", lane_names(ctx.scale)[i], d);
         }
 
-        // Wall-clock scaling is host-dependent: artifact + stderr only.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let report = serde_json::json!({
-            "benchmark": "sky-bench fleet shard scaling",
-            "host_cores": cores,
-            "note": if cores == 1 {
-                serde_json::json!(
-                    "single-core host: shard wall times measure overhead, not speedup"
-                )
-            } else {
-                serde_json::Value::Null
-            },
-            "scale": ctx.scale.name(),
-            "lanes": base.lanes,
-            "requests": base.submitted,
-            "window_us": base.window.as_micros(),
-            "digest": format!("{:016x}", base.digest),
-            "runs": runs.iter().map(|r| serde_json::json!({
-                "shards": r.shards,
-                "wall_ms": r.wall_s * 1_000.0,
-                "sim_events_per_sec": r.report.events as f64 / r.wall_s,
-            })).collect::<Vec<_>>(),
-        });
-        ctx.artifact(
-            "BENCH_engine_fleet.json",
-            serde_json::to_string_pretty(&report).expect("serializable"),
-        );
         ctx.finish()
     }
 }

@@ -19,7 +19,6 @@ pub mod ablation_staleness;
 pub mod adaptive_sampling;
 pub mod arm_vs_x86;
 pub mod availability;
-pub mod bench_engine;
 pub mod bench_engine_fleet;
 pub mod calibration_probe;
 pub mod carbon_aware;

@@ -18,7 +18,6 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 
 use crate::sweep::{self, Jobs};
 use crate::Scale;
@@ -35,7 +34,6 @@ pub struct ExperimentCtx {
     /// reproducible, only the default is golden-pinned).
     pub seed: u64,
     out: String,
-    artifacts: Vec<Artifact>,
 }
 
 impl ExperimentCtx {
@@ -46,7 +44,6 @@ impl ExperimentCtx {
             jobs,
             seed,
             out: String::new(),
-            artifacts: Vec::new(),
         }
     }
 
@@ -55,20 +52,10 @@ impl ExperimentCtx {
         crate::World::new(self.seed)
     }
 
-    /// Attach a side artifact (e.g. `BENCH_engine.json`) to be written
-    /// next to the repo root by the runner.
-    pub fn artifact(&mut self, file_name: impl Into<String>, contents: impl Into<String>) {
-        self.artifacts.push(Artifact {
-            file_name: file_name.into(),
-            contents: contents.into(),
-        });
-    }
-
     /// Drain the buffered report into the experiment's output.
     pub fn finish(&mut self) -> ExperimentOutput {
         ExperimentOutput {
             text: std::mem::take(&mut self.out),
-            artifacts: std::mem::take(&mut self.artifacts),
         }
     }
 
@@ -101,23 +88,12 @@ macro_rules! outln {
     }};
 }
 
-/// A side file produced by an experiment, written by the runner.
-#[derive(Debug)]
-pub struct Artifact {
-    /// File name relative to the repo root (e.g. `BENCH_engine.json`).
-    pub file_name: String,
-    /// Full file contents.
-    pub contents: String,
-}
-
 /// What one experiment run produced.
 #[derive(Debug)]
 pub struct ExperimentOutput {
     /// The rendered report — exactly what the former standalone binary
     /// printed to stdout.
     pub text: String,
-    /// Side artifacts (usually empty).
-    pub artifacts: Vec<Artifact>,
 }
 
 /// One registered experiment.
@@ -181,7 +157,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
         &fig_drift_regret::FigDriftRegret,
         &ablation_drift_lag::AblationDriftLag,
         &calibration_probe::CalibrationProbe,
-        &bench_engine::BenchEngine,
         &bench_engine_fleet::BenchEngineFleet,
     ];
     ALL
@@ -190,12 +165,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
 /// Look up an experiment by name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     all().iter().copied().find(|e| e.name() == name)
-}
-
-/// The repository root (where `BENCH_engine.json`-style artifacts live),
-/// resolved from this crate's compile-time manifest path.
-pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Run one experiment, converting a panic anywhere inside it into an

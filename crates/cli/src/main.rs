@@ -610,23 +610,15 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
     let mut failures = Vec::new();
     for (name, outcome) in outcomes {
         match outcome {
-            Ok(output) => {
-                match &out_dir {
-                    Some(dir) => {
-                        let path = dir.join(format!("{name}.txt"));
-                        std::fs::write(&path, output.text.as_bytes())
-                            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                        eprintln!("  ok {name} -> {}", path.display());
-                    }
-                    None => print!("{}", output.text),
-                }
-                for artifact in &output.artifacts {
-                    let path = registry::repo_root().join(&artifact.file_name);
-                    std::fs::write(&path, artifact.contents.as_bytes())
+            Ok(output) => match &out_dir {
+                Some(dir) => {
+                    let path = dir.join(format!("{name}.txt"));
+                    std::fs::write(&path, output.text.as_bytes())
                         .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                    eprintln!("  ok {name} artifact -> {}", path.display());
+                    eprintln!("  ok {name} -> {}", path.display());
                 }
-            }
+                None => print!("{}", output.text),
+            },
             Err(message) => {
                 eprintln!("  FAILED {name}: {message}");
                 failures.push(name);

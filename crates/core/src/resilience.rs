@@ -551,7 +551,7 @@ impl ResilientClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sky_cloud::{Arch, Catalog, Provider};
+    use sky_cloud::{Arch, Catalog, FaultKind, FaultPlan, Provider};
     use sky_faas::FleetConfig;
 
     fn az(s: &str) -> AzId {
@@ -654,7 +654,15 @@ mod tests {
         let fallback = az("us-west-1a");
         let dep_p = e.deploy(acct, &primary, 2048, Arch::X86_64).unwrap();
         let dep_f = e.deploy(acct, &fallback, 2048, Arch::X86_64).unwrap();
-        e.inject_outage(&primary, SimDuration::from_mins(30));
+        let outage = FaultPlan::new()
+            .with_event(
+                primary.clone(),
+                e.now(),
+                SimDuration::from_mins(30),
+                FaultKind::Outage,
+            )
+            .unwrap();
+        e.set_fault_plan(&outage);
         let config = ResilienceConfig {
             request_timeout: SimDuration::from_secs(5),
             ..Default::default()

@@ -16,8 +16,8 @@ use crate::request::{
     BatchRequest, InvocationOutcome, InvocationStatus, RequestBody, WorkloadSpec,
 };
 use sky_cloud::{Arch, AzId, Catalog, FaultKind, FaultPlan, PriceBook, Provider};
-use sky_sim::metrics::{MetricHandle, MetricsRegistry, MetricsSnapshot, SpanPhase, SpanTracker};
-use sky_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotKey, TraceLevel, Tracer};
+use sky_sim::metrics::{MetricHandle, MetricsRegistry, MetricsSnapshot, SpanTracker};
+use sky_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotKey};
 use sky_workloads::PerfModel;
 use std::collections::BTreeMap;
 
@@ -414,14 +414,11 @@ pub struct FaasEngine {
     queue: EventQueue<Event>,
     /// Platforms in instantiation order; events index into this vector.
     platforms: Vec<AzPlatform>,
-    /// Zone name of each platform, parallel to `platforms`.
-    az_ids: Vec<AzId>,
     /// Interning map from zone name to dense platform index.
     az_index: BTreeMap<AzId, u32>,
     accounts: Vec<Account>,
     deployments: Vec<Deployment>,
     exec_rng: SimRng,
-    tracer: Tracer,
     events_processed: u64,
     metrics: MetricsRegistry,
     spans: SpanTracker,
@@ -470,12 +467,10 @@ impl FaasEngine {
             now: SimTime::ZERO,
             queue,
             platforms: Vec::new(),
-            az_ids: Vec::new(),
             az_index: BTreeMap::new(),
             accounts: Vec::new(),
             deployments: Vec::new(),
             exec_rng: root.derive("exec"),
-            tracer: Tracer::new(TraceLevel::Info, 4096),
             events_processed: 0,
             metrics: MetricsRegistry::new(),
             spans: SpanTracker::new(),
@@ -520,11 +515,6 @@ impl FaasEngine {
         &self.catalog
     }
 
-    /// The engine's trace buffer (lifecycle events for debugging/tests).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Total discrete events processed since construction (arrivals,
     /// responses, releases, expiries, maintenance). Used by throughput
     /// benchmarks to report events/second.
@@ -535,11 +525,6 @@ impl FaasEngine {
     /// The engine's live metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Mutable registry access (for harness-level annotations).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
     }
 
     /// Span lifecycle accounting (opened/closed totals, open count).
@@ -674,27 +659,6 @@ impl FaasEngine {
         self.az_index.get(az).map(|&i| &self.platforms[i as usize])
     }
 
-    /// Fault injection: all new FI placement in `az` fails for the given
-    /// duration (warm instances keep serving). The zone must already be
-    /// instantiated (have at least one deployment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no platform exists for `az` yet.
-    pub fn inject_outage(&mut self, az: &AzId, duration: SimDuration) {
-        let until = self.now + duration;
-        let idx = *self
-            .az_index
-            .get(az)
-            .unwrap_or_else(|| panic!("no platform instantiated for {az}"));
-        self.platforms[idx as usize].inject_outage(until);
-        self.tracer.warn(
-            self.now,
-            "faas.fault",
-            format!("{az}: outage injected until {until}"),
-        );
-    }
-
     /// Arm a fault schedule: each plan event is enqueued once at its
     /// start time and arms its platform until `start + duration` when it
     /// fires. Platforms for targeted zones are instantiated on demand, so
@@ -755,7 +719,6 @@ impl FaasEngine {
             &mut self.metrics,
             &az.to_string(),
         ));
-        self.az_ids.push(az.clone());
         self.az_index.insert(az.clone(), idx);
         idx
     }
@@ -941,11 +904,6 @@ impl FaasEngine {
                     let recycled = p.day_tick();
                     self.metrics
                         .add(self.az_metrics[idx].hosts_recycled, recycled as u64);
-                    self.tracer.info(
-                        self.now,
-                        "faas.churn",
-                        format!("{}: day {day} recycled {recycled} hosts", self.az_ids[idx]),
-                    );
                 }
                 self.queue.schedule(
                     SimTime::start_of_day(day + 1),
@@ -959,11 +917,6 @@ impl FaasEngine {
                 if added > 0 {
                     self.metrics
                         .add(self.az_metrics[az_idx as usize].hosts_added, added as u64);
-                    self.tracer.info(
-                        self.now,
-                        "faas.scale",
-                        format!("{}: added {added} hosts", self.az_ids[az_idx as usize]),
-                    );
                 }
             }
             Event::PoolTick { az_idx } => {
@@ -993,7 +946,7 @@ impl FaasEngine {
                 // Cold path: fault arming is rare, so the string-keyed
                 // slow lane is fine here and keeps per-kind labels off
                 // the per-AZ handle table.
-                let az = self.az_ids[az_idx as usize].to_string();
+                let az = self.platforms[az_idx as usize].spec().id.to_string();
                 let window = until.saturating_since(self.now);
                 let labels = [("az", az.as_str()), ("kind", kind.label())];
                 self.metrics.incr("faas", "faults_armed", &labels, 1);
@@ -1004,15 +957,6 @@ impl FaasEngine {
                 let until_gauge = self.metrics.gauge("faas", "fault_until_us", &labels);
                 self.metrics
                     .set_gauge(until_gauge, self.now, until.as_micros() as f64);
-                self.tracer.warn(
-                    self.now,
-                    "faas.fault",
-                    format!(
-                        "{}: {} armed until {until} (purged {purged} warm FIs)",
-                        self.az_ids[az_idx as usize],
-                        kind.label(),
-                    ),
-                );
             }
             Event::Arrival { .. } | Event::Response { .. } => {
                 unreachable!("batch events are not maintenance")
@@ -1038,7 +982,7 @@ impl FaasEngine {
     }
 
     fn resolve(&mut self, idx: usize, outcome: InvocationOutcome) {
-        debug_assert!(self.batch[idx].outcome.is_none(), "double resolution");
+        assert!(self.batch[idx].outcome.is_none(), "double resolution");
         self.batch[idx].outcome = Some(outcome);
         self.batch_pending -= 1;
     }
@@ -1055,7 +999,13 @@ impl FaasEngine {
         cost: f64,
     ) {
         let state = &self.batch[idx];
-        let arrived = state.first_arrival.unwrap_or(finished);
+        let arrived = state
+            .first_arrival
+            .expect("a resolving request has arrived");
+        assert!(
+            finished >= arrived,
+            "request {idx} finished before it arrived"
+        );
         let az_idx = state.req.az_idx as usize;
         let handles = self.az_metrics[az_idx];
 
@@ -1070,22 +1020,16 @@ impl FaasEngine {
         let retry_cost = state.retry_cost;
         let attempts = state.attempts;
         let e2e = finished.saturating_since(arrived);
-        let route =
-            SimDuration::from_micros(e2e.as_micros() - dispatch.as_micros() - exec.as_micros());
-        let start_phase = match class {
-            StartClass::Cold => SpanPhase::ColdStart,
-            StartClass::Restored | StartClass::Branched => SpanPhase::Restore,
-            StartClass::Pooled | StartClass::Warm => SpanPhase::WarmStart,
-        };
-        self.spans.close(
-            idx as u64,
-            finished,
-            &[
-                (SpanPhase::Route, route),
-                (start_phase, dispatch),
-                (SpanPhase::Execute, exec),
-            ],
-        );
+        let route = e2e
+            .as_micros()
+            .checked_sub(dispatch.as_micros() + exec.as_micros())
+            .map(SimDuration::from_micros)
+            .unwrap_or_else(|| {
+                panic!(
+                    "request {idx}: dispatch {dispatch} + execute {exec} exceed end-to-end {e2e}"
+                )
+            });
+        self.spans.close();
         self.metrics.observe_duration(handles.span_route_us, route);
         let start_hist = match class {
             StartClass::Cold => handles.span_cold_us,
@@ -1148,7 +1092,7 @@ impl FaasEngine {
         let arrived = self.now;
         if self.batch[idx].first_arrival.is_none() {
             self.batch[idx].first_arrival = Some(arrived);
-            self.spans.open(idx as u64, arrived);
+            self.spans.open();
         }
         self.batch[idx].attempts += 1;
         self.metrics
@@ -1352,9 +1296,8 @@ impl FaasEngine {
         let release_at = arrived + dispatch + billed;
         let cost = PriceBook::invocation_cost(req.provider, req.arch, req.memory_mb, billed);
 
-        let inst = self.platforms[req.az_idx as usize]
-            .instance_at(inst_slot)
-            .expect("just acquired");
+        let platform = &self.platforms[req.az_idx as usize];
+        let inst = platform.instance_at(inst_slot).expect("just acquired");
         let report = SaafReport {
             cpu_model: cpu.model_name().into(),
             cpu_ghz: cpu.clock_ghz(),
@@ -1366,7 +1309,7 @@ impl FaasEngine {
             memory_mb: req.memory_mb,
             arch: req.arch,
             provider: req.provider,
-            az: self.az_ids[req.az_idx as usize].clone(),
+            az: platform.spec().id.clone(),
             finished_at: response_at,
         };
         let status = if declined {

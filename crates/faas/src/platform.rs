@@ -492,8 +492,8 @@ impl AzPlatform {
                 return Ok((id, slot, StartClass::Pooled));
             }
         }
-        // Cold path. An injected outage fails all *new* placement (warm
-        // FIs above keep serving, matching how zone incidents present).
+        // Cold path. An armed outage fails all *new* placement (warm FIs
+        // above keep serving, matching how zone incidents present).
         if let Some(until) = self.outage_until {
             if now < until {
                 if let Some((id, slot)) = self.pop_valid_warm(deployment) {
@@ -1081,16 +1081,7 @@ impl AzPlatform {
         recycled
     }
 
-    /// Fault injection: reject every placement in this zone until `until`
-    /// (an injected zone outage — the availability scenario sky
-    /// computing's multi-zone aggregation defends against). Warm
-    /// instances keep serving; only *new* FI creation fails, matching
-    /// how real zone incidents typically present.
-    pub fn inject_outage(&mut self, until: SimTime) {
-        self.outage_until = Some(until);
-    }
-
-    /// Whether an injected outage is active at `now`.
+    /// Whether an armed [`FaultKind::Outage`] is active at `now`.
     pub fn outage_active(&self, now: SimTime) -> bool {
         self.outage_until.map(|u| now < u).unwrap_or(false)
     }

@@ -48,16 +48,13 @@ pub mod series;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use events::{BinaryHeapQueue, EventQueue};
 pub use metrics::{
-    LogHistogram, MetricHandle, MetricValue, MetricsRegistry, MetricsSnapshot, SpanPhase,
-    SpanTracker,
+    LogHistogram, MetricHandle, MetricValue, MetricsRegistry, MetricsSnapshot, SpanTracker,
 };
 pub use rng::SimRng;
 pub use series::{Series, Table};
 pub use slab::{Slab, SlotKey};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLevel, Tracer};

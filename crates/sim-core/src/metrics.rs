@@ -863,49 +863,13 @@ impl MetricsRegistry {
     }
 }
 
-/// Request span phases: submit → route → cold/restore/warm start →
-/// execute. (Billing is a counter concern; the phases here partition
-/// wall-clock latency.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// Time between first submission and the final attempt's dispatch:
-    /// queueing, gated-retry waits, backoff.
-    Route,
-    /// Cold-start initialization of the final attempt.
-    ColdStart,
-    /// Snapshot-restore (or CoW-branch) initialization of the final
-    /// attempt — the execution-mode start class between cold and warm.
-    Restore,
-    /// Warm dispatch overhead of the final attempt.
-    WarmStart,
-    /// Function execution until the client hears the response.
-    Execute,
-}
-
-impl SpanPhase {
-    /// Stable label for metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanPhase::Route => "route",
-            SpanPhase::ColdStart => "cold_start",
-            SpanPhase::Restore => "restore_start",
-            SpanPhase::WarmStart => "warm_start",
-            SpanPhase::Execute => "execute",
-        }
-    }
-}
-
-/// Per-request span lifecycle accounting with hard invariants:
-///
-/// * a span opens exactly once and closes exactly once;
-/// * the phase durations passed at close must sum *exactly* (integer
-///   microseconds) to the span's end-to-end duration;
-/// * [`open_count`](Self::open_count) returning 0 is the teardown
-///   contract the engine asserts after every batch.
+/// Per-request span accounting: how many spans opened and closed. A
+/// span's open time and phase components live with its request (the
+/// FaaS engine checks the phase partition in its batch arena), so the
+/// tracker only counts. [`open_count`](Self::open_count) returning 0 is
+/// the teardown contract the engine asserts after every batch.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTracker {
-    // sky-lint: allow(D001, membership map - open/close/is_open/len only; never iterated)
-    open: HashMap<u64, SimTime>,
     opened_total: u64,
     closed_total: u64,
 }
@@ -917,54 +881,23 @@ impl SpanTracker {
     }
 
     /// Open a span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already open.
-    pub fn open(&mut self, id: u64, at: SimTime) {
-        let prev = self.open.insert(id, at);
-        assert!(prev.is_none(), "span {id} opened twice");
+    pub fn open(&mut self) {
         self.opened_total += 1;
     }
 
-    /// Whether `id` is currently open.
-    pub fn is_open(&self, id: u64) -> bool {
-        self.open.contains_key(&id)
-    }
-
-    /// Close a span, checking the phase-sum invariant, and return the
-    /// end-to-end duration.
+    /// Close a span.
     ///
     /// # Panics
     ///
-    /// Panics if the span is not open, closed before it opened, or the
-    /// phases do not sum to the end-to-end duration.
-    pub fn close(
-        &mut self,
-        id: u64,
-        at: SimTime,
-        phases: &[(SpanPhase, SimDuration)],
-    ) -> SimDuration {
-        let opened = self
-            .open
-            .remove(&id)
-            .unwrap_or_else(|| panic!("span {id} closed without being open"));
-        assert!(at >= opened, "span {id} closed before it opened");
-        let e2e = at.saturating_since(opened);
-        let phase_sum: u64 = phases.iter().map(|(_, d)| d.as_micros()).sum();
-        assert_eq!(
-            phase_sum,
-            e2e.as_micros(),
-            "span {id}: phases sum to {phase_sum}us but end-to-end is {}us",
-            e2e.as_micros()
-        );
+    /// Panics if no span is open.
+    pub fn close(&mut self) {
+        assert!(self.open_count() > 0, "span closed without being open");
         self.closed_total += 1;
-        e2e
     }
 
     /// Spans currently open.
     pub fn open_count(&self) -> usize {
-        self.open.len()
+        (self.opened_total - self.closed_total) as usize
     }
 
     /// Spans ever opened.
@@ -1150,47 +1083,22 @@ mod tests {
     #[test]
     fn span_lifecycle_happy_path() {
         let mut s = SpanTracker::new();
-        s.open(1, SimTime::from_micros(100));
-        assert!(s.is_open(1));
-        let e2e = s.close(
-            1,
-            SimTime::from_micros(160),
-            &[
-                (SpanPhase::Route, SimDuration::from_micros(10)),
-                (SpanPhase::ColdStart, SimDuration::from_micros(20)),
-                (SpanPhase::Execute, SimDuration::from_micros(30)),
-            ],
-        );
-        assert_eq!(e2e, SimDuration::from_micros(60));
+        s.open();
+        s.open();
+        assert_eq!(s.open_count(), 2);
+        s.close();
+        s.close();
         assert_eq!(s.open_count(), 0);
-        assert_eq!(s.opened_total(), 1);
-        assert_eq!(s.closed_total(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "phases sum")]
-    fn span_close_rejects_phase_mismatch() {
-        let mut s = SpanTracker::new();
-        s.open(1, SimTime::ZERO);
-        s.close(
-            1,
-            SimTime::from_micros(100),
-            &[(SpanPhase::Execute, SimDuration::from_micros(99))],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "opened twice")]
-    fn span_double_open_rejected() {
-        let mut s = SpanTracker::new();
-        s.open(1, SimTime::ZERO);
-        s.open(1, SimTime::ZERO);
+        assert_eq!(s.opened_total(), 2);
+        assert_eq!(s.closed_total(), 2);
     }
 
     #[test]
     #[should_panic(expected = "without being open")]
     fn span_close_unopened_rejected() {
         let mut s = SpanTracker::new();
-        s.close(9, SimTime::ZERO, &[]);
+        s.open();
+        s.close();
+        s.close();
     }
 }

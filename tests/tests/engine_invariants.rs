@@ -6,7 +6,7 @@
 //! Schedules are generated with the workspace's own deterministic
 //! [`SimRng`] — every failure is replayable from the fixed seed.
 
-use sky_cloud::{Arch, Catalog, PriceBook, Provider};
+use sky_cloud::{Arch, Catalog, FaultKind, FaultPlan, PriceBook, Provider};
 use sky_faas::{
     BatchRequest, FaasEngine, FleetConfig, InvocationStatus, RequestBody, WorkloadSpec,
 };
@@ -155,7 +155,15 @@ fn run_schedule(seed: u64, ops: &[Op]) {
                 engine.advance_by(SimDuration::from_mins(*mins));
             }
             Op::Outage { mins } => {
-                engine.inject_outage(&az, SimDuration::from_mins(*mins));
+                let outage = FaultPlan::new()
+                    .with_event(
+                        az.clone(),
+                        engine.now(),
+                        SimDuration::from_mins(*mins),
+                        FaultKind::Outage,
+                    )
+                    .unwrap();
+                engine.set_fault_plan(&outage);
             }
         }
     }

@@ -41,8 +41,8 @@ fn registry_names_are_unique_and_well_formed() {
     }
     assert_eq!(
         seen.len(),
-        29,
-        "expected the 24 ported binaries plus bench_engine_fleet, \
+        28,
+        "expected 23 ported binaries plus bench_engine_fleet, \
          fig_exec_modes, ablation_mode_routing, fig_drift_regret and \
          ablation_drift_lag"
     );
@@ -77,15 +77,16 @@ fn every_experiment_has_a_published_results_artifact() {
 #[test]
 fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
     // The multiplexer's load-bearing promise: text depends on
-    // (scale, seed) only. Exercise the three cheapest multi-cell
-    // experiments at 1/2/8 workers; the golden gate plus the sweep
-    // determinism tests cover the rest of the set.
+    // (scale, seed) only. Exercise the cheap multi-cell experiments at
+    // 1/2/8 workers; the golden gate plus the sweep determinism tests
+    // cover the rest of the set.
     for name in [
         "fig_faults",
         "ablation_staleness",
         "fig5_progressive_sampling",
         "fig_drift_regret",
         "ablation_drift_lag",
+        "fig2_global_characterization",
     ] {
         let exp: &dyn Experiment = registry::find(name).expect("registered");
         assert!(exp.deterministic(), "{name} should be golden-gated");

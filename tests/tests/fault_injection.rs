@@ -2,7 +2,7 @@
 //! behaviour when its candidate set spans zones (the sky-computing
 //! aggregation dividend beyond cost).
 
-use sky_cloud::{Arch, Catalog, Provider};
+use sky_cloud::{Arch, Catalog, FaultKind, FaultPlan, Provider};
 use sky_core::{
     CampaignConfig, CharacterizationStore, PollConfig, RouterConfig, RoutingPolicy,
     SamplingCampaign, SmartRouter, WorkloadProfiler,
@@ -15,6 +15,14 @@ fn world(seed: u64) -> (FaasEngine, sky_faas::AccountId) {
     let mut engine = FaasEngine::new(Catalog::paper_world(seed), FleetConfig::new(seed));
     let account = engine.create_account(Provider::Aws);
     (engine, account)
+}
+
+/// Arm a zone outage from now on through the engine's fault plan.
+fn arm_outage(engine: &mut FaasEngine, az: &sky_cloud::AzId, duration: SimDuration) {
+    let plan = FaultPlan::new()
+        .with_event(az.clone(), engine.now(), duration, FaultKind::Outage)
+        .unwrap();
+    engine.set_fault_plan(&plan);
 }
 
 #[test]
@@ -33,7 +41,7 @@ fn outage_fails_new_placements_but_not_warm_instances() {
     }]);
     assert!(warm[0].status.is_success());
 
-    engine.inject_outage(&az, SimDuration::from_mins(30));
+    arm_outage(&mut engine, &az, SimDuration::from_mins(30));
 
     // A sequential request rides the warm FI through the outage...
     let through = engine.run_batch(vec![BatchRequest {
@@ -106,7 +114,7 @@ fn sampling_surfaces_outage_as_failure_rate() {
     .unwrap();
     let healthy = campaign.poll_once(&mut engine);
     assert_eq!(healthy.failures, 0);
-    engine.inject_outage(&az, SimDuration::from_hours(1));
+    arm_outage(&mut engine, &az, SimDuration::from_hours(1));
     let sick = campaign.poll_once(&mut engine);
     assert!(
         sick.failure_rate() > 0.9,
@@ -175,7 +183,7 @@ fn router_routes_around_an_outaged_zone() {
     );
 
     // Outage in the fast zone; the next sampling round sees it.
-    engine.inject_outage(&primary, SimDuration::from_hours(4));
+    arm_outage(&mut engine, &primary, SimDuration::from_hours(4));
     let mut store = CharacterizationStore::new();
     sample(&mut engine, &mut store, &primary);
     sample(&mut engine, &mut store, &fallback);
@@ -210,7 +218,6 @@ fn router_routes_around_an_outaged_zone() {
 // Scheduled fault classes (FaultPlan) and the resilient client.
 // ---------------------------------------------------------------------
 
-use sky_cloud::{FaultKind, FaultPlan};
 use sky_faas::WorkloadSpec;
 
 #[test]

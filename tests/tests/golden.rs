@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use sky_bench::faults::{fig_faults_rows, render_fig_faults};
 use sky_bench::sweep::Jobs;
 use sky_bench::{
     cumulative_savings, profile_workload, run_daily_routing, DailyRoutingConfig, Scale, World,
@@ -111,12 +110,6 @@ fn golden_registry_experiments_quick() {
                 .unwrap_or_else(|e| panic!("{} failed at quick scale: {e}", exp.name()));
         check_golden_file(&format!("exp/{}_quick.txt", exp.name()), &output.text);
     }
-}
-
-#[test]
-fn golden_fig_faults() {
-    let rendered = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial()));
-    check_golden("fig_faults_quick", &rendered);
 }
 
 #[test]

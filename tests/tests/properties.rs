@@ -341,6 +341,33 @@ fn rng_derived_streams_are_independent() {
 fn fault_plan_fires_each_event_exactly_once_within_its_window() {
     use sky_cloud::{Catalog, Provider};
     use sky_faas::{FaasEngine, FleetConfig};
+    use std::collections::BTreeMap;
+
+    /// `faas/faults_armed` by `(az, kind)` as the engine reports it.
+    fn armed(engine: &FaasEngine) -> BTreeMap<Vec<(String, String)>, u64> {
+        engine
+            .metrics_snapshot()
+            .subsystem("faas")
+            .filter(|e| e.name == "faults_armed")
+            .map(|e| match e.value {
+                sky_sim::MetricValue::Counter(n) => (e.labels.clone(), n),
+                ref other => panic!("faults_armed is a counter, got {other:?}"),
+            })
+            .collect()
+    }
+    /// The same counts predicted from the plan: every event whose start
+    /// is at or before `t` has armed exactly once.
+    fn due(plan: &FaultPlan, t: SimTime) -> BTreeMap<Vec<(String, String)>, u64> {
+        let mut counts = BTreeMap::new();
+        for ev in plan.events().iter().filter(|e| e.start <= t) {
+            let labels = vec![
+                ("az".to_string(), ev.az.to_string()),
+                ("kind".to_string(), ev.kind.label().to_string()),
+            ];
+            *counts.entry(labels).or_insert(0) += 1;
+        }
+        counts
+    }
 
     let mut rng = SimRng::seed_from(SEED).derive("fault-plan");
     let zones: Vec<AzId> = ["us-east-2a", "us-east-2b", "us-west-1a"]
@@ -353,20 +380,25 @@ fn fault_plan_fires_each_event_exactly_once_within_its_window() {
         let start = engine.now() + SimDuration::from_mins(1);
         let plan = FaultPlan::random_storm(&mut rng, &zones, start, SimDuration::from_mins(30), 8);
         engine.set_fault_plan(&plan);
-        engine.advance_to(plan.last_end().unwrap() + SimDuration::from_mins(1));
 
-        let fired: Vec<_> = engine.tracer().with_tag("faas.fault").collect();
-        assert_eq!(engine.tracer().dropped(), 0, "trace ring overflowed");
+        // Step to 1 us before each start, then onto it: the counts may
+        // change only at the start instant.
+        let mut starts: Vec<SimTime> = plan.events().iter().map(|e| e.start).collect();
+        starts.dedup();
+        for t in starts {
+            let before = t - SimDuration::from_micros(1);
+            engine.advance_to(before);
+            assert_eq!(armed(&engine), due(&plan, before), "armed before its start");
+            engine.advance_to(t);
+            assert_eq!(armed(&engine), due(&plan, t), "not armed at its start");
+        }
+        engine.advance_to(plan.last_end().unwrap() + SimDuration::from_mins(1));
+        let total: u64 = armed(&engine).values().sum();
         assert_eq!(
-            fired.len(),
-            plan.events().len(),
+            total,
+            plan.events().len() as u64,
             "every scheduled fault fires exactly once"
         );
-        let mut fire_times: Vec<_> = fired.iter().map(|e| e.at).collect();
-        fire_times.sort();
-        let mut starts: Vec<_> = plan.events().iter().map(|e| e.start).collect();
-        starts.sort();
-        assert_eq!(fire_times, starts, "faults arm exactly at their start");
         for ev in plan.events() {
             assert!(ev.active_at(ev.start), "window includes its own start");
             assert!(!ev.active_at(ev.end()), "window is half-open");

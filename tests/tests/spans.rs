@@ -61,15 +61,39 @@ fn every_request_closes_exactly_one_span() {
 fn span_phases_partition_end_to_end_latency() {
     // The span histograms must satisfy the exact integer identity
     //   Σ route + Σ cold_start + Σ warm_start + Σ execute == Σ e2e
-    // and every request contributes to exactly one of cold/warm.
+    // and every request contributes to exactly one of cold/warm. Besides
+    // plain sleeps, each batch carries gated requests whose ban set
+    // forces declines (the reissue waits land in the route phase) and
+    // repeated identical specs against a result-cached deployment (hits
+    // close zero-length spans at arrival).
+    use sky_cloud::{CpuSet, CpuType};
+    use sky_faas::ExecProfile;
+
     let mut engine = new_engine(23);
     let account = engine.create_account(Provider::Aws);
     let az: sky_cloud::AzId = "us-east-2b".parse().unwrap();
     let dep = engine.deploy(account, &az, 2048, Arch::X86_64).unwrap();
+    // A mixed zone where banning all but the 3.0 GHz Xeon declines most
+    // first placements.
+    let mixed: sky_cloud::AzId = "us-west-1b".parse().unwrap();
+    let gated = engine.deploy(account, &mixed, 2048, Arch::X86_64).unwrap();
+    let banned: CpuSet = CpuType::AWS_X86
+        .iter()
+        .copied()
+        .filter(|&c| c != CpuType::IntelXeon3_0)
+        .collect();
+    // The TTL outlives every gap between batches, so each batch after
+    // the first replays the first batch's results.
+    let cached = engine.deploy(account, &az, 2048, Arch::X86_64).unwrap();
+    engine.set_exec_profile(
+        cached,
+        ExecProfile::default().with_result_cache_ttl(SimDuration::from_hours(1)),
+    );
     let mut rng = SimRng::seed_from(0x5fa2_2026);
+    let mut issued = 0u64;
     for _ in 0..4 {
         let n = rng.range_inclusive(10, 60) as usize;
-        let requests: Vec<BatchRequest> = (0..n)
+        let mut requests: Vec<BatchRequest> = (0..n)
             .map(|i| BatchRequest {
                 deployment: dep,
                 offset: SimDuration::from_millis(i as u64 * rng.range_inclusive(0, 9)),
@@ -78,11 +102,41 @@ fn span_phases_partition_end_to_end_latency() {
                 },
             })
             .collect();
+        requests.extend((0..n).map(|i| BatchRequest {
+            deployment: gated,
+            offset: SimDuration::from_millis(i as u64 % 20),
+            body: RequestBody::GatedWorkload {
+                spec: WorkloadSpec::new(WorkloadKind::Sha1Hash),
+                banned,
+                hold: SimDuration::from_millis(150),
+                max_retries: 25,
+                retry_latency: SimDuration::from_millis(60),
+            },
+        }));
+        requests.extend((0..n).map(|i| BatchRequest {
+            deployment: cached,
+            offset: SimDuration::from_millis(i as u64),
+            body: RequestBody::Workload {
+                spec: WorkloadSpec::new(WorkloadKind::Sha1Hash),
+            },
+        }));
+        issued += requests.len() as u64;
         engine.run_batch(requests);
         engine.advance_by(SimDuration::from_mins(rng.range_inclusive(1, 30)));
     }
 
     let snap = engine.metrics_snapshot();
+    assert!(
+        snap.counter_sum("faas", "gated_retries") > 0,
+        "the ban set must force reissues"
+    );
+    assert!(
+        snap.counter_sum("faas", "result_cache_hits") > 0,
+        "repeated specs must hit the result cache"
+    );
+    assert_eq!(engine.spans().opened_total(), issued);
+    assert_eq!(engine.spans().closed_total(), issued);
+
     let (e2e_n, e2e_sum) = span_hist_totals(&snap, "e2e_us");
     let (route_n, route_sum) = span_hist_totals(&snap, "route_us");
     let (cold_n, cold_sum) = span_hist_totals(&snap, "cold_start_us");
