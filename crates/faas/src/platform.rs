@@ -76,17 +76,19 @@ pub struct Instance {
     pub parent_snapshot: Option<SnapshotId>,
 }
 
-/// Bounded FI-side payload cache: a fixed-size ring of payload hashes.
+/// Bounded FI-side payload cache: a ring of payload hashes.
 ///
 /// An FI's `/tmp` scratch volume is small, so the decoded-payload cache
-/// cannot grow without bound the way the old `Vec<u64>` did on
-/// long-lived instances. The ring keeps the most recent
+/// cannot grow without bound. The ring keeps the most recent
 /// [`PayloadCache::CAPACITY`] distinct payloads and evicts the oldest
 /// insertion when full (FIFO — a real scratch dir would evict by mtime).
+/// Its storage grows on insert up to the capacity, so an FI that never
+/// decodes a payload (a sleep-only probe) allocates none.
 #[derive(Debug, Clone, Default)]
 pub struct PayloadCache {
-    slots: [u64; PayloadCache::CAPACITY],
-    len: usize,
+    slots: Vec<u64>,
+    /// Ring position of the next insertion (equal to `slots.len()`
+    /// until the ring fills).
     next: usize,
 }
 
@@ -96,7 +98,7 @@ impl PayloadCache {
 
     /// Whether `hash` is cached.
     pub fn contains(&self, hash: u64) -> bool {
-        self.slots[..self.len].contains(&hash)
+        self.slots.contains(&hash)
     }
 
     /// Record `hash` as cached, evicting the oldest entry when full.
@@ -105,19 +107,22 @@ impl PayloadCache {
         if self.contains(hash) {
             return;
         }
-        self.slots[self.next] = hash;
+        if self.slots.len() < Self::CAPACITY {
+            self.slots.push(hash);
+        } else {
+            self.slots[self.next] = hash;
+        }
         self.next = (self.next + 1) % Self::CAPACITY;
-        self.len = (self.len + 1).min(Self::CAPACITY);
     }
 
     /// Number of cached payloads.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slots.is_empty()
     }
 }
 
@@ -190,18 +195,17 @@ pub struct AzPlatform {
     /// map: `place_fresh` iterates it, so its order is event order.
     by_cpu: BTreeMap<(Arch, CpuType), Vec<usize>>,
     /// Hot per-FI state, slab-allocated: every acquire/release/expire on
-    /// the invocation path is an O(1) slot index instead of the
-    /// `BTreeMap` walk this replaces. Iteration (`purge_warm`) is in
+    /// the invocation path is an O(1) slot index, and creating or
+    /// destroying an FI touches no index. Iteration (`purge_warm`) is in
     /// slot order, which is deterministic (a pure function of the
     /// create/destroy sequence, itself seed-determined).
     instances: Slab<Instance>,
-    /// Identity index for the public by-id API (`instance`,
-    /// `instance_mut`). Maintained on create/destroy only — the cold
-    /// paths — never consulted per invocation.
-    by_id: BTreeMap<InstanceId, SlotKey>,
     /// LIFO stacks of warm idle instances per deployment (most recently
     /// freed first, mirroring Lambda's warm-routing preference). Each
     /// entry carries the FI's slot; the id validates against slot reuse.
+    /// Destroying an FI leaves its entry behind: `pop_valid_warm` skips
+    /// it, and `release` drops such entries before a push would grow the
+    /// stack.
     warm_idle: BTreeMap<DeploymentId, Vec<(InstanceId, SlotKey)>>,
     /// Busy (executing) instances per deployment — the burst-detection
     /// signal for the warm-reuse probability.
@@ -302,7 +306,6 @@ impl AzPlatform {
             hosts: Vec::new(),
             by_cpu: BTreeMap::new(),
             instances: Slab::new(),
-            by_id: BTreeMap::new(),
             warm_idle: BTreeMap::new(),
             busy_counts: BTreeMap::new(),
             reuse_prob,
@@ -630,10 +633,9 @@ impl AzPlatform {
             *self.busy_counts.entry(deployment).or_default() += 1;
         }
         let mode = self.profile(deployment).mode;
-        let uuid: std::sync::Arc<str> = self.rng.next_uuid().into();
         let slot = self.instances.insert(Instance {
             id,
-            uuid,
+            uuid: self.rng.next_uuid(),
             host_index,
             host_id,
             deployment,
@@ -647,37 +649,21 @@ impl AzPlatform {
             mode,
             parent_snapshot,
         });
-        self.by_id.insert(id, slot);
         (id, slot)
     }
 
-    /// Pop the most recently idled valid warm instance for a deployment.
-    /// An entry is valid when its slot still holds the same FI (slots are
-    /// recycled) and that FI is idle.
+    /// Pop the most recently idled valid warm instance for a deployment,
+    /// discarding the invalid entries above it (see [`idle_entry`]).
     fn pop_valid_warm(&mut self, deployment: DeploymentId) -> Option<(InstanceId, SlotKey)> {
         let stack = self.warm_idle.entry(deployment).or_default();
-        while let Some((id, slot)) = stack.pop() {
-            if let Some(inst) = self.instances.get(slot) {
-                if inst.id == id && !inst.busy {
-                    return Some((id, slot));
-                }
-            }
-        }
-        None
+        std::iter::from_fn(|| stack.pop()).find(|&e| idle_entry(&self.instances, e))
     }
 
     /// Pop the most recently provisioned valid pool instance. Entries
     /// validate against slot reuse exactly like the warm-idle stack.
     fn pop_valid_pool(&mut self, deployment: DeploymentId) -> Option<(InstanceId, SlotKey)> {
         let pool = self.pools.get_mut(&deployment)?;
-        while let Some((id, slot)) = pool.idle.pop() {
-            if let Some(inst) = self.instances.get(slot) {
-                if inst.id == id && !inst.busy {
-                    return Some((id, slot));
-                }
-            }
-        }
-        None
+        std::iter::from_fn(|| pool.idle.pop()).find(|&e| idle_entry(&self.instances, e))
     }
 
     /// Register (or replace) a deployment's execution profile,
@@ -759,9 +745,7 @@ impl AzPlatform {
                 pool.ewma_x256 = pool.policy.fold_ewma(pool.ewma_x256, arrivals);
                 // Drop entries invalidated by purges or faults before
                 // sizing against the target.
-                pool.idle.retain(
-                    |&(id, slot)| matches!(instances.get(slot), Some(i) if i.id == id && !i.busy),
-                );
+                pool.idle.retain(|&e| idle_entry(instances, e));
                 pool.policy.target(pool.ewma_x256)
             };
             let len = self.pools[&dep].idle.len() as u32;
@@ -913,10 +897,19 @@ impl AzPlatform {
         inst.expire_epoch += 1;
         let deployment = inst.deployment;
         let result = (inst.keep_alive_until, inst.expire_epoch);
-        self.warm_idle
-            .entry(deployment)
-            .or_default()
-            .push((id, slot));
+        let stack = self.warm_idle.entry(deployment).or_default();
+        if stack.len() == stack.capacity() {
+            // Before the push grows the stack, drop the entries
+            // `pop_valid_warm` would skip (FIs destroyed since they
+            // idled); valid entries keep their order. Reserving exactly
+            // as much again as survives makes the sweep amortised O(1)
+            // per release and keeps the stack within twice its valid
+            // entries, which a doubling `reserve` could overshoot.
+            let instances = &self.instances;
+            stack.retain(|&e| idle_entry(instances, e));
+            stack.reserve_exact(stack.len());
+        }
+        stack.push((id, slot));
         let busy = self
             .busy_counts
             .get_mut(&deployment)
@@ -1000,9 +993,11 @@ impl AzPlatform {
         destroy
     }
 
+    /// Free an FI's slot and host memory. Its warm-stack entry, if any,
+    /// stays behind as an invalid entry; pool entries are removed at once
+    /// because `pool_occupancy` reports the pool's length.
     fn destroy(&mut self, slot: SlotKey) {
         let inst = self.instances.remove(slot);
-        self.by_id.remove(&inst.id);
         let host = &mut self.hosts[inst.host_index];
         host.mem_used_mb -= inst.memory_mb as u64;
         host.live_instances -= 1;
@@ -1010,28 +1005,17 @@ impl AzPlatform {
             Arch::X86_64 => self.fi_mem_used_x86 -= inst.memory_mb as u64,
             Arch::Arm64 => self.fi_mem_used_arm -= inst.memory_mb as u64,
         }
-        if let Some(stack) = self.warm_idle.get_mut(&inst.deployment) {
-            stack.retain(|&(x, _)| x != inst.id);
-        }
         if let Some(pool) = self.pools.get_mut(&inst.deployment) {
             pool.idle.retain(|&(x, _)| x != inst.id);
         }
     }
 
-    /// Immutable access to an instance by identity (index walk — cold
-    /// paths and tests; the dispatch loop uses [`AzPlatform::instance_at`]).
+    /// Immutable access to an instance by identity: an O(n) scan of the
+    /// live FIs, for tests and diagnostics. Keeping no id index is what
+    /// makes creating and destroying an FI O(1); the dispatch loop
+    /// addresses FIs by slot ([`AzPlatform::instance_at`]).
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.by_id
-            .get(&id)
-            .and_then(|&slot| self.instances.get(slot))
-    }
-
-    /// Mutable access to an instance by identity.
-    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
-        match self.by_id.get(&id) {
-            Some(&slot) => self.instances.get_mut(slot),
-            None => None,
-        }
+        self.instances.iter().map(|(_, i)| i).find(|i| i.id == id)
     }
 
     /// O(1) access to an instance by slot (hot path). Callers must have
@@ -1079,11 +1063,6 @@ impl AzPlatform {
         }
         self.extra_hosts = 0; // reactive capacity is reclaimed daily
         recycled
-    }
-
-    /// Whether an armed [`FaultKind::Outage`] is active at `now`.
-    pub fn outage_active(&self, now: SimTime) -> bool {
-        self.outage_until.map(|u| now < u).unwrap_or(false)
     }
 
     /// Arm one fault against this platform until `until`. Cold-start
@@ -1197,6 +1176,13 @@ impl AzPlatform {
         self.extra_hosts += add;
         add
     }
+}
+
+/// Whether a warm-stack or pool entry still names an idle FI: its slot
+/// holds the same FI (slots are recycled after destruction) and that FI
+/// is not executing.
+fn idle_entry(instances: &Slab<Instance>, (id, slot): (InstanceId, SlotKey)) -> bool {
+    matches!(instances.get(slot), Some(i) if i.id == id && !i.busy)
 }
 
 #[cfg(test)]
@@ -1352,6 +1338,59 @@ mod tests {
         assert!(!p.expire(a, slot_a, epoch, deadline + SimDuration::from_mins(20)));
         assert!(p.instance(b).is_some());
         assert_eq!(p.instance_count(), 1);
+    }
+
+    #[test]
+    fn warm_stack_stays_bounded_while_its_bottom_expires() {
+        let cat = Catalog::paper_world(42);
+        let spec = cat.az(&"us-east-2a".parse().unwrap()).unwrap().clone();
+        // No warm reuse under a burst: each round's second acquire
+        // always places a fresh FI.
+        let mut p = AzPlatform::new(spec, 0, SimRng::seed_from(1).derive("platform"), 0.0);
+        let dep = DeploymentId::from_raw(1);
+        let keep_alive = SimDuration::from_secs(40);
+        // Reference model: the idle FIs in release order, maintained the
+        // way an eagerly pruned stack would be.
+        let mut idle: Vec<InstanceId> = Vec::new();
+        let mut expiries = std::collections::VecDeque::new();
+        for round in 0..500u64 {
+            let now = SimTime::ZERO + SimDuration::from_secs(round);
+            // The bottom of the stack reaches its keep-alive.
+            while let Some(&(id, slot, deadline, epoch)) = expiries.front() {
+                if deadline > now {
+                    break;
+                }
+                expiries.pop_front();
+                if p.expire(id, slot, epoch, now) {
+                    idle.retain(|&x| x != id);
+                }
+            }
+            // The top keeps serving.
+            let (top, top_slot, class) = p.acquire(dep, 2048, Arch::X86_64, now).unwrap();
+            if let Some(expected) = idle.pop() {
+                assert_eq!((top, class), (expected, StartClass::Warm), "round {round}");
+            }
+            let (fresh, fresh_slot, class) = p.acquire(dep, 2048, Arch::X86_64, now).unwrap();
+            assert_eq!(class, StartClass::Cold);
+            for (id, slot) in [(fresh, fresh_slot), (top, top_slot)] {
+                let (deadline, epoch) = p.release(id, slot, now, keep_alive);
+                expiries.push_back((id, slot, deadline, epoch));
+                idle.push(id);
+            }
+            let held = p.warm_idle[&dep].len();
+            assert!(
+                held <= 2 * idle.len() + 4,
+                "round {round}: {held} stack entries for {} idle FIs",
+                idle.len()
+            );
+        }
+        assert!(idle.len() > 40, "steady state keeps ~41 FIs idle");
+        // Valid entries pop most recently idled first.
+        let popped: Vec<InstanceId> = std::iter::from_fn(|| p.pop_valid_warm(dep))
+            .map(|(id, _)| id)
+            .collect();
+        idle.reverse();
+        assert_eq!(popped, idle);
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! "past" relative to the cursor, which the engine produces when a handler
 //! schedules a follow-up for *now* — are merge-inserted into the already
 //! sorted open slot, so pop order is exactly that of a binary heap.
+//! Opening a slot frees a buffer, which waits on a spare list for the next
+//! empty slot to fill, so the wheel allocates about one buffer per slot
+//! occupied at once rather than one per slot it ever touches.
 //!
 //! Compared to the [`BinaryHeapQueue`] it replaced, the wheel trades the
 //! per-operation `O(log n)` sift (which copies whole entries at every level)
@@ -84,6 +87,9 @@ pub struct EventQueue<E> {
     next_slot_abs: u64,
     /// Windows beyond the near wheel, keyed by window index.
     overflow: BTreeMap<u64, Vec<Entry<E>>>,
+    /// Empty buffers left by opened slots, handed to the next slot that
+    /// fills without one of its own.
+    spare: Vec<Vec<Entry<E>>>,
     len: usize,
     next_seq: u64,
 }
@@ -106,6 +112,7 @@ impl<E> EventQueue<E> {
             window: 0,
             next_slot_abs: 0,
             overflow: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -139,9 +146,7 @@ impl<E> EventQueue<E> {
             let idx = self.current.partition_point(|e| e.key() > key);
             self.current.insert(idx, entry);
         } else if abs / NEAR_SLOTS as u64 == self.window {
-            let slot = (abs % NEAR_SLOTS as u64) as usize;
-            self.slots[slot].push(entry);
-            self.occupied[slot / 64] |= 1u64 << (slot % 64);
+            self.push_slot((abs % NEAR_SLOTS as u64) as usize, entry);
         } else {
             self.overflow
                 .entry(at.as_micros() / WINDOW_US)
@@ -171,8 +176,7 @@ impl<E> EventQueue<E> {
             self.next_slot_abs = win * NEAR_SLOTS as u64;
             for entry in entries {
                 let slot = ((entry.at.as_micros() / SLOT_GRAIN_US) % NEAR_SLOTS as u64) as usize;
-                self.slots[slot].push(entry);
-                self.occupied[slot / 64] |= 1u64 << (slot % 64);
+                self.push_slot(slot, entry);
             }
         }
     }
@@ -234,12 +238,27 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Add `entry` to near-wheel slot `slot`, giving the slot a spare
+    /// buffer if it has none.
+    fn push_slot(&mut self, slot: usize, entry: Entry<E>) {
+        let bucket = &mut self.slots[slot];
+        if bucket.capacity() == 0 {
+            *bucket = self.spare.pop().unwrap_or_default();
+        }
+        bucket.push(entry);
+        self.occupied[slot / 64] |= 1u64 << (slot % 64);
+    }
+
     /// Move slot `slot`'s events into the open buffer, sorted for popping,
     /// and advance the cursor past it. The whole slot becomes one dispatch
-    /// batch: it is sorted once, then drained by O(1) pops.
+    /// batch: it is sorted once, then drained by O(1) pops. The drained
+    /// open buffer goes to the spare list.
     fn open_slot(&mut self, slot: usize) {
         debug_assert!(self.current.is_empty());
-        std::mem::swap(&mut self.current, &mut self.slots[slot]);
+        let drained = std::mem::replace(&mut self.current, std::mem::take(&mut self.slots[slot]));
+        if drained.capacity() > 0 {
+            self.spare.push(drained);
+        }
         self.occupied[slot / 64] &= !(1u64 << (slot % 64));
         // Descending, so `Vec::pop` yields ascending `(at, seq)`.
         self.current
