@@ -25,8 +25,8 @@ use sky_core::sim::series::Table;
 use sky_core::sim::{SimDuration, SimTime};
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    CampaignConfig, CharacterizationStore, Characterizer, PollConfig, RouterConfig, RoutingPolicy,
-    SamplingCampaign, SmartRouter, StreamingCharacterizer, StreamingConfig,
+    CharacterizationStore, Characterizer, PollConfig, RouterConfig, RoutingPolicy, SmartRouter,
+    StreamingCharacterizer, StreamingConfig,
 };
 
 /// CUSUM firing thresholds swept (x10 000 total-variation units).
@@ -86,27 +86,22 @@ fn chaos_plan(zone: &AzId) -> FaultPlan {
         .expect("valid chaos plan")
 }
 
-/// One targeted probe with the hook paused (no double-counting).
-fn probe_zone(world: &mut World, az: &AzId, scale: Scale) -> CpuMix {
-    let hook = world.engine.observation_hook();
-    world.engine.set_observation_hook(false);
-    let mut campaign = SamplingCampaign::new(
-        &mut world.engine,
-        world.aws,
-        az,
-        CampaignConfig {
-            deployments: scale.pick(6, 4),
-            poll: PollConfig {
-                requests: scale.pick(1_000, 300),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-    .expect("probe deploys");
-    campaign.run_polls(&mut world.engine, scale.pick(4, 2));
-    world.engine.set_observation_hook(hook);
-    campaign.characterization().to_mix()
+/// One targeted probe of `az`, filed into `store`; returns the probed
+/// mix.
+fn probe_zone(
+    store: &mut CharacterizationStore,
+    world: &mut World,
+    az: &AzId,
+    scale: Scale,
+) -> CpuMix {
+    let poll = PollConfig {
+        requests: scale.pick(1_000, 300),
+        ..Default::default()
+    };
+    let snapshot = store
+        .probe(&mut world.engine, world.aws, az, scale.pick(4, 2), poll)
+        .expect("probe deploys");
+    snapshot.mix.clone()
 }
 
 fn run_cell(lambda_idx: usize, fault_idx: usize, scale: Scale, seed: u64) -> CellRow {
@@ -144,7 +139,8 @@ fn run_cell(lambda_idx: usize, fault_idx: usize, scale: Scale, seed: u64) -> Cel
         cusum_delta_x10k: 5_000,
         ..Default::default()
     });
-    let mix = probe_zone(&mut world, &zone, scale);
+    let mut probes = CharacterizationStore::new();
+    let mix = probe_zone(&mut probes, &mut world, &zone, scale);
     let mut last_probe_at = world.engine.now();
     chr.record_probe(&zone, last_probe_at, &mix);
     world.engine.set_observation_hook(true);
@@ -176,7 +172,7 @@ fn run_cell(lambda_idx: usize, fault_idx: usize, scale: Scale, seed: u64) -> Cel
                 .expect("evidence exists")
                 .ape_percent(&truth);
             fires.push((day, staleness, ape));
-            let mix = probe_zone(&mut world, &zone, scale);
+            let mix = probe_zone(&mut probes, &mut world, &zone, scale);
             last_probe_at = world.engine.now();
             chr.record_probe(&zone, last_probe_at, &mix);
         }

@@ -7,8 +7,9 @@
 //! us-west-1b's CPU mix:
 //!
 //! 1. active polling (1, 3, 6 polls — dollars spent on probes);
-//! 2. passive folding of SAAF reports from N routed production requests
-//!    (zero marginal dollars — the workload was running anyway);
+//! 2. passive folding of SAAF reports from N routed production requests,
+//!    delivered by the engine's observation hook (zero marginal dollars —
+//!    the workload was running anyway);
 //!
 //! against the platform ground truth.
 //!
@@ -22,7 +23,7 @@ use crate::{outln, Scale, World};
 use sky_core::cloud::Arch;
 use sky_core::sim::series::{fmt_usd, Table};
 use sky_core::workloads::WorkloadKind;
-use sky_core::{CampaignConfig, SamplingCampaign, WorkloadProfiler};
+use sky_core::{CampaignConfig, Characterization, SamplingCampaign, WorkloadProfiler};
 
 #[derive(Clone, Copy)]
 enum Method {
@@ -79,12 +80,15 @@ fn run_method(method: Method, scale: Scale, seed: u64) -> Vec<[String; 4]> {
             }
         }
         Method::Passive => {
-            // Production-style bursts; fold their SAAF reports.
+            // Production-style bursts; the observation hook hands over
+            // their SAAF reports.
             let dep = world
                 .engine
                 .deploy(world.aws, &az, 2048, Arch::X86_64)
                 .expect("deploys");
+            world.engine.set_observation_hook(true);
             let mut profiler = WorkloadProfiler::new();
+            let mut passive = Characterization::new();
             let mut folded = 0usize;
             for checkpoint in [500usize, 2_000, scale.pick(6_000, 3_000)] {
                 let n = checkpoint - folded;
@@ -97,9 +101,7 @@ fn run_method(method: Method, scale: Scale, seed: u64) -> Vec<[String; 4]> {
                     7,
                 );
                 folded = checkpoint;
-                let passive = profiler
-                    .passive_characterization(&az)
-                    .expect("traffic observed");
+                passive.observe_all(&world.engine.take_observations(&az));
                 rows.push([
                     format!("passive, {checkpoint} requests"),
                     passive.unique_fis().to_string(),

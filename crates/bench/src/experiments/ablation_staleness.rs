@@ -21,8 +21,7 @@ use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, RouterConfig, RoutingPolicy,
-    SamplingCampaign, SmartRouter,
+    savings_fraction, CharacterizationStore, PollConfig, RouterConfig, RoutingPolicy, SmartRouter,
 };
 
 const AGES_DAYS: [u64; 5] = [0, 1, 3, 7, 14];
@@ -50,25 +49,9 @@ fn route_at_age(idx: usize, scale: Scale, seed: u64) -> [String; 3] {
     let mut store = CharacterizationStore::new();
     store.max_age = SimDuration::from_days(365); // ablation: never stale
     for az in &candidates {
-        let mut campaign = SamplingCampaign::new(
-            &mut world.engine,
-            world.aws,
-            az,
-            CampaignConfig {
-                deployments: 6,
-                ..Default::default()
-            },
-        )
-        .expect("deploys");
-        let at = world.engine.now();
-        campaign.run_polls(&mut world.engine, 6);
-        store.record(
-            az,
-            at,
-            campaign.characterization().to_mix(),
-            campaign.characterization().unique_fis(),
-            campaign.total_cost_usd(),
-        );
+        store
+            .probe(&mut world.engine, world.aws, az, 6, PollConfig::default())
+            .expect("deploys");
     }
     let router = SmartRouter::new(store, table, RouterConfig::default());
 

@@ -3,9 +3,14 @@
 //!
 //! Runs two 14-day characterization campaigns over the EX-4 zones:
 //!
-//! * **fixed** — every zone re-sampled every day (the EX-4 protocol);
-//! * **adaptive** — the [`SamplingScheduler`] re-samples volatile zones
-//!   daily but lets classified-stable zones coast for a week.
+//! * **fixed** — every zone re-sampled every day (the EX-4 protocol): a
+//!   [`StaticCharacterizer`] on the paper's 22 h cadence;
+//! * **adaptive** — a [`StaticCharacterizer`] on §4.4's
+//!   [`SchedulerConfig`] cadence re-samples volatile zones daily but lets
+//!   classified-stable zones coast for a week.
+//!
+//! Both arms run the same loop: once a day, every zone the
+//! characterizer wants re-probed is probed into the store.
 //!
 //! Reports the spend and the mean characterization error (vs ground
 //! truth, scored daily for every zone whether sampled or not). The
@@ -17,7 +22,9 @@ use crate::registry::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::{ex4_zones, outln, Scale, World};
 use sky_core::sim::series::Table;
 use sky_core::sim::{OnlineStats, SimDuration};
-use sky_core::{CampaignConfig, CharacterizationStore, SamplingCampaign, SamplingScheduler};
+use sky_core::{
+    CharacterizationStore, Characterizer, PollConfig, SchedulerConfig, StaticCharacterizer,
+};
 
 struct CampaignScore {
     cost_usd: f64,
@@ -30,10 +37,9 @@ fn run_campaign(
     world: &mut World,
     days: u32,
     polls_per_sample: usize,
-    adaptive: bool,
+    mut chr: StaticCharacterizer,
 ) -> CampaignScore {
     let zones = ex4_zones();
-    let scheduler = SamplingScheduler::default();
     let mut store = CharacterizationStore::new();
     let mut cost = 0.0;
     let mut polls = 0usize;
@@ -43,38 +49,23 @@ fn run_campaign(
         world
             .engine
             .advance_to(start + SimDuration::from_days(day as u64) + SimDuration::from_hours(2));
-        let due: Vec<_> = if adaptive {
-            scheduler
-                .due_zones(&store, &zones, world.engine.now())
-                .into_iter()
-                .cloned()
-                .collect()
-        } else {
-            zones.clone()
-        };
-        for az in &due {
-            let mut campaign = SamplingCampaign::new(
-                &mut world.engine,
-                world.aws,
-                az,
-                CampaignConfig {
-                    deployments: polls_per_sample,
-                    ..Default::default()
-                },
-            )
-            .expect("campaign deploys");
-            let at = world.engine.now();
-            campaign.run_polls(&mut world.engine, polls_per_sample);
-            cost += campaign.total_cost_usd();
+        let now = world.engine.now();
+        for az in &zones {
+            if !chr.wants_probe(az, now) {
+                continue;
+            }
+            let snapshot = store
+                .probe(
+                    &mut world.engine,
+                    world.aws,
+                    az,
+                    polls_per_sample,
+                    PollConfig::default(),
+                )
+                .expect("probe deploys");
+            cost += snapshot.cost_usd;
             polls += polls_per_sample;
-            store.record_with_health(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-                campaign.overall_failure_rate(),
-            );
+            chr.record_probe(az, snapshot.at, &snapshot.mix);
         }
         // Score every zone daily against the hidden ground truth, using
         // whatever (possibly stale) snapshot the router would rely on.
@@ -120,8 +111,18 @@ impl Experiment for AdaptiveSampling {
         let days = ctx.scale.pick(14, 4);
         let polls_per_sample = 6;
 
-        let fixed = run_campaign(&mut ctx.world(), days, polls_per_sample, false);
-        let adaptive = run_campaign(&mut ctx.world(), days, polls_per_sample, true);
+        let fixed = run_campaign(
+            &mut ctx.world(),
+            days,
+            polls_per_sample,
+            StaticCharacterizer::new(u32::MAX),
+        );
+        let adaptive = run_campaign(
+            &mut ctx.world(),
+            days,
+            polls_per_sample,
+            StaticCharacterizer::with_cadence(SchedulerConfig::default(), u32::MAX),
+        );
 
         let mut out = Table::new(
             format!("Adaptive vs fixed sampling cadence over {days} days x 5 zones"),

@@ -13,8 +13,7 @@ use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    CampaignConfig, CharacterizationStore, RetryMode, RouterConfig, RoutingPolicy,
-    SamplingCampaign, SmartRouter,
+    CharacterizationStore, PollConfig, RetryMode, RouterConfig, RoutingPolicy, SmartRouter,
 };
 
 /// See the module docs.
@@ -87,32 +86,15 @@ impl Experiment for Availability {
             }
             // Daily probes (health + characterization).
             let mut store = CharacterizationStore::new();
-            let mut probe_failure = 0.0;
             for az in &candidates {
-                let mut campaign = SamplingCampaign::new(
-                    &mut world.engine,
-                    world.aws,
-                    az,
-                    CampaignConfig {
-                        deployments: 3,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let at = world.engine.now();
-                campaign.run_polls(&mut world.engine, 3);
-                if az == &single_zone {
-                    probe_failure = campaign.overall_failure_rate();
-                }
-                store.record_with_health(
-                    az,
-                    at,
-                    campaign.characterization().to_mix(),
-                    campaign.characterization().unique_fis(),
-                    campaign.total_cost_usd(),
-                    campaign.overall_failure_rate(),
-                );
+                store
+                    .probe(&mut world.engine, world.aws, az, 3, PollConfig::default())
+                    .unwrap();
             }
+            let probe_failure = store
+                .latest(&single_zone)
+                .expect("single zone probed")
+                .failure_rate;
             let router = SmartRouter::new(store, table.clone(), RouterConfig::default());
             let single = router.run_burst(
                 &mut world.engine,

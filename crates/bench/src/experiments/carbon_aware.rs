@@ -14,8 +14,7 @@ use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, RouterConfig, RoutingPolicy,
-    SamplingCampaign, SmartRouter,
+    savings_fraction, CharacterizationStore, PollConfig, RouterConfig, RoutingPolicy, SmartRouter,
 };
 
 /// See the module docs.
@@ -62,26 +61,9 @@ impl Experiment for CarbonAware {
         world.engine.advance_by(SimDuration::from_mins(30));
         let mut store = CharacterizationStore::new();
         for az in &candidates {
-            let mut campaign = SamplingCampaign::new(
-                &mut world.engine,
-                world.aws,
-                az,
-                CampaignConfig {
-                    deployments: 4,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let at = world.engine.now();
-            campaign.run_polls(&mut world.engine, 4);
-            store.record_with_health(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-                campaign.overall_failure_rate(),
-            );
+            store
+                .probe(&mut world.engine, world.aws, az, 4, PollConfig::default())
+                .unwrap();
         }
 
         let mut grid = Table::new(

@@ -15,7 +15,9 @@ use sky_core::cloud::{Catalog, Provider};
 use sky_core::faas::{FaasEngine, FleetConfig};
 use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
-use sky_core::{run_temporal_campaign, CampaignConfig, PollConfig, TemporalConfig};
+use sky_core::{
+    run_temporal_campaign, CampaignConfig, PollConfig, SchedulerConfig, TemporalConfig,
+};
 
 /// See the module docs.
 pub struct Fig7TemporalDrift;
@@ -92,6 +94,7 @@ impl Experiment for Fig7TemporalDrift {
                 "re-sample every",
             ],
         );
+        let cadence = SchedulerConfig::default();
         for z in &zones {
             let step = result.store.max_step_ape(z).unwrap_or(0.0);
             let cumulative = result
@@ -105,7 +108,7 @@ impl Experiment for Fig7TemporalDrift {
                 format!("{step:.1}"),
                 format!("{cumulative:.1}"),
                 format!("{:?}", result.store.classify(z)),
-                format!("{}", result.store.recommended_interval(z)),
+                format!("{}", cadence.interval_for(&result.store, z)),
             ]);
         }
         outln!(ctx, "{}", classes.render());

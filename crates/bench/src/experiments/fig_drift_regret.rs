@@ -38,9 +38,8 @@ use sky_core::sim::series::Table;
 use sky_core::sim::{SimDuration, SimTime};
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    CampaignConfig, CharacterizationStore, Characterizer, PollConfig, RouterConfig, RoutingPolicy,
-    RuntimeTable, SamplingCampaign, SmartRouter, StaticCharacterizer, StreamingCharacterizer,
-    StreamingConfig,
+    CharacterizationStore, Characterizer, PollConfig, RouterConfig, RoutingPolicy, RuntimeTable,
+    SmartRouter, StaticCharacterizer, StreamingCharacterizer, StreamingConfig,
 };
 
 /// Candidate zone sets by churn class (see the catalog's calibrated
@@ -79,32 +78,24 @@ impl CellRow {
     }
 }
 
-/// One targeted sampling campaign against `az`, with the observation
-/// hook paused so probe traffic is never double-counted as production
-/// evidence. Returns the estimate plus the store-keeping metadata.
-fn probe_zone(world: &mut World, az: &AzId, scale: Scale) -> (CpuMix, u64, f64) {
-    let hook = world.engine.observation_hook();
-    world.engine.set_observation_hook(false);
-    let mut campaign = SamplingCampaign::new(
-        &mut world.engine,
-        world.aws,
-        az,
-        CampaignConfig {
-            deployments: scale.pick(6, 4),
-            poll: PollConfig {
-                requests: scale.pick(1_000, 600),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-    .expect("probe deploys");
-    campaign.run_polls(&mut world.engine, scale.pick(4, 3));
-    world.engine.set_observation_hook(hook);
+/// One targeted probe of `az`, filed into `store`. Returns the probed
+/// mix and the probe's cost in nano-USD.
+fn probe_zone(
+    store: &mut CharacterizationStore,
+    world: &mut World,
+    az: &AzId,
+    scale: Scale,
+) -> (CpuMix, u64) {
+    let poll = PollConfig {
+        requests: scale.pick(1_000, 600),
+        ..Default::default()
+    };
+    let snapshot = store
+        .probe(&mut world.engine, world.aws, az, scale.pick(4, 3), poll)
+        .expect("probe deploys");
     (
-        campaign.characterization().to_mix(),
-        campaign.characterization().unique_fis(),
-        campaign.total_cost_usd(),
+        snapshot.mix.clone(),
+        (snapshot.cost_usd * 1e9).round() as u64,
     )
 }
 
@@ -174,11 +165,9 @@ fn run_cell(class_idx: usize, strat: usize, scale: Scale, seed: u64) -> CellRow 
     // campaign per zone, drawn from the same budget.
     if let Some(chr) = chr.as_deref_mut() {
         for az in &candidates {
-            let (mix, fis, cost) = probe_zone(&mut world, az, scale);
-            probe_nanousd += (cost * 1e9).round() as u64;
-            let at = world.engine.now();
-            chr.record_probe(az, at, &mix);
-            store.record(az, at, mix, fis, cost);
+            let (mix, cost) = probe_zone(&mut store, &mut world, az, scale);
+            probe_nanousd += cost;
+            chr.record_probe(az, world.engine.now(), &mix);
         }
     }
     let streaming = chr.as_deref().map(Characterizer::label) == Some("streaming");
@@ -209,11 +198,9 @@ fn run_cell(class_idx: usize, strat: usize, scale: Scale, seed: u64) -> CellRow 
         if let Some(chr) = chr.as_deref_mut() {
             for az in &candidates {
                 if chr.wants_probe(az, world.engine.now()) {
-                    let (mix, fis, cost) = probe_zone(&mut world, az, scale);
-                    probe_nanousd += (cost * 1e9).round() as u64;
-                    let at = world.engine.now();
-                    chr.record_probe(az, at, &mix);
-                    router.store_mut().record(az, at, mix, fis, cost);
+                    let (mix, cost) = probe_zone(router.store_mut(), &mut world, az, scale);
+                    probe_nanousd += cost;
+                    chr.record_probe(az, world.engine.now(), &mix);
                 }
             }
         }

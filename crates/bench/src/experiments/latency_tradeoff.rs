@@ -14,8 +14,7 @@ use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, RouterConfig, RoutingPolicy,
-    SamplingCampaign, SmartRouter,
+    savings_fraction, CharacterizationStore, PollConfig, RouterConfig, RoutingPolicy, SmartRouter,
 };
 
 /// See the module docs.
@@ -66,25 +65,9 @@ impl Experiment for LatencyTradeoff {
         // Characterize all candidates.
         let mut store = CharacterizationStore::new();
         for az in &candidates {
-            let mut campaign = SamplingCampaign::new(
-                &mut world.engine,
-                world.aws,
-                az,
-                CampaignConfig {
-                    deployments: 5,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let at = world.engine.now();
-            campaign.run_polls(&mut world.engine, 5);
-            store.record(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-            );
+            store
+                .probe(&mut world.engine, world.aws, az, 5, PollConfig::default())
+                .unwrap();
         }
 
         // Per-zone economics: billable cost vs (unbilled) RTT.

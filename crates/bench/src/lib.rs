@@ -27,8 +27,8 @@ use sky_core::faas::{AccountId, DeploymentId, FaasEngine, FleetConfig};
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    BurstReport, CampaignConfig, CharacterizationStore, RetryMode, RouterConfig, RoutingPolicy,
-    RuntimeTable, SamplingCampaign, SmartRouter, WorkloadProfiler,
+    BurstReport, CharacterizationStore, PollConfig, RetryMode, RouterConfig, RoutingPolicy,
+    RuntimeTable, SmartRouter, WorkloadProfiler,
 };
 
 /// Experiment scale selector.
@@ -328,27 +328,16 @@ pub fn run_daily_routing(
         // Characterization refresh.
         let mut sampling_cost = 0.0;
         for az in &config.sampled_azs {
-            let mut campaign = SamplingCampaign::new(
-                engine,
-                world.aws,
-                az,
-                CampaignConfig {
-                    deployments: config.polls_per_day.max(2),
-                    ..Default::default()
-                },
-            )
-            .expect("campaign deploys");
-            let at = engine.now();
-            campaign.run_polls(engine, config.polls_per_day);
-            sampling_cost += campaign.total_cost_usd();
-            store.record_with_health(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-                campaign.overall_failure_rate(),
-            );
+            let snapshot = store
+                .probe(
+                    engine,
+                    world.aws,
+                    az,
+                    config.polls_per_day,
+                    PollConfig::default(),
+                )
+                .expect("probe deploys");
+            sampling_cost += snapshot.cost_usd;
         }
         let router = SmartRouter::new(store.clone(), table.clone(), RouterConfig::default());
         let baseline = router.run_burst(

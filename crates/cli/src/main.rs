@@ -36,7 +36,7 @@ use sky_core::sim::series::Table;
 use sky_core::sim::SimDuration;
 use sky_core::workloads::{PerfModel, WorkloadKind};
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, Characterizer, RetryMode,
+    savings_fraction, CampaignConfig, CharacterizationStore, Characterizer, PollConfig, RetryMode,
     RouterConfig, RoutingPolicy, SamplingCampaign, SmartRouter, StreamingCharacterizer,
     StreamingConfig, WorkloadProfiler,
 };
@@ -767,25 +767,9 @@ fn cmd_route(args: &Args, seed: u64) -> Result<(), String> {
     eprintln!("characterizing {} zone(s)...", zones.len());
     let mut store = CharacterizationStore::new();
     for az in &zones {
-        let mut campaign = SamplingCampaign::new(
-            &mut engine,
-            account,
-            az,
-            CampaignConfig {
-                deployments: 4,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        let at = engine.now();
-        campaign.run_polls(&mut engine, 4);
-        store.record(
-            az,
-            at,
-            campaign.characterization().to_mix(),
-            campaign.characterization().unique_fis(),
-            campaign.total_cost_usd(),
-        );
+        store
+            .probe(&mut engine, account, az, 4, PollConfig::default())
+            .map_err(|e| e.to_string())?;
     }
 
     let router = SmartRouter::new(store, table, RouterConfig::default());

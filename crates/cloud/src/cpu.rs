@@ -411,11 +411,6 @@ impl CpuMix {
             CpuMix::from_shares(&kept)
         }
     }
-
-    /// Raw shares as a vector aligned with `CpuType::ALL` (for sampling).
-    pub fn dense_weights(&self) -> Vec<f64> {
-        CpuType::ALL.iter().map(|&c| self.share(c)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -94,11 +94,6 @@ impl Characterization {
         self.unknown
     }
 
-    /// Number of distinct CPU types observed.
-    pub fn n_cpu_types(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Per-CPU unique-FI counts.
     pub fn counts(&self) -> impl Iterator<Item = (CpuType, u64)> + '_ {
         self.counts.iter().map(|(&c, &n)| (c, n))

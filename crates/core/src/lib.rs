@@ -9,20 +9,22 @@
 //! * [`characterization`] — **CPU characterizations** built from SAAF
 //!   reports, with unique-FI attribution and the paper's APE metric;
 //! * [`store`] — the time-stamped **characterization store** with
-//!   staleness policy and stable/volatile zone classification (§4.4);
+//!   staleness policy and stable/volatile zone classification (§4.4),
+//!   and [`CharacterizationStore::probe`], the one call that probes a
+//!   zone and files its snapshot;
 //! * [`profiler`] — **workload profiling** (Figure 9's per-CPU runtime
-//!   table) and passive characterization from production traffic (§4.6);
+//!   table);
 //! * [`router`] — the **smart routing system** (§3.4–3.5): regional
-//!   routing, retry-slow / focus-fastest CPU gating, region hopping, and
-//!   the hybrid strategy that the paper reports up to 18.2 % savings for;
+//!   routing, retry-slow / focus-fastest CPU gating, and the hybrid
+//!   strategy that the paper reports up to 18.2 % savings for;
 //! * [`streaming`] — the online [`Characterizer`]s: the paper's static
-//!   probe-only comparator plus the streaming estimator (decayed
-//!   fixed-point EWMA fed by every completed invocation, CUSUM drift
-//!   detection, budgeted re-probing);
+//!   probe-only comparator, whose [`SchedulerConfig`] cadence spends
+//!   probes where drift demands them (§4.4), plus the streaming estimator
+//!   (decayed fixed-point EWMA fed by every completed invocation through
+//!   the engine's observation hook, CUSUM drift detection, budgeted
+//!   re-probing);
 //! * [`temporal`] — the EX-4 campaign drivers for day- and hour-scale
 //!   drift measurement;
-//! * [`scheduler`] — the adaptive re-sampling scheduler that spends
-//!   probes where drift demands them (§4.4);
 //! * [`cost`] — categorized dollar accounting.
 //!
 //! Everything here observes the cloud **only through invocation
@@ -61,7 +63,6 @@ pub mod profiler;
 pub mod resilience;
 pub mod router;
 pub mod sampling;
-pub mod scheduler;
 pub mod store;
 pub mod streaming;
 pub mod temporal;
@@ -77,9 +78,10 @@ pub use router::{
     savings_fraction, BurstReport, RetryMode, RouterConfig, RoutingPolicy, SmartRouter,
 };
 pub use sampling::{CampaignConfig, CampaignResult, PollConfig, PollStats, SamplingCampaign};
-pub use scheduler::{SamplingScheduler, SchedulerConfig};
 pub use store::{CharacterizationStore, Snapshot, StabilityClass};
-pub use streaming::{Characterizer, StaticCharacterizer, StreamingCharacterizer, StreamingConfig};
+pub use streaming::{
+    Characterizer, SchedulerConfig, StaticCharacterizer, StreamingCharacterizer, StreamingConfig,
+};
 pub use temporal::{run_temporal_campaign, ObservationRecord, TemporalConfig, TemporalResult};
 
 /// Re-export of the cloud-topology substrate.

@@ -4,13 +4,7 @@
 //! groups observed billed durations by the CPU the FI reported —
 //! producing Figure 9 (runtimes normalized to the 2.5 GHz baseline) and
 //! the lookup table the smart router uses to rank CPUs per workload.
-//!
-//! The same machinery implements the paper's §4.6 future-work item:
-//! **passive characterization** — every routed production request already
-//! carries a SAAF report, so its CPU observation can be folded back into
-//! the characterization store at zero marginal probing cost.
 
-use crate::characterization::Characterization;
 use serde::{Deserialize, Serialize};
 use sky_cloud::{AzId, CpuType};
 use sky_faas::{
@@ -163,12 +157,10 @@ pub struct ProfileRun {
     pub cost_usd: f64,
 }
 
-/// Drives profiling runs and passive-characterization folding.
+/// Drives profiling runs.
 #[derive(Debug, Default)]
 pub struct WorkloadProfiler {
     table: RuntimeTable,
-    /// Passive characterizations per zone, built from routed traffic.
-    passive: BTreeMap<AzId, Characterization>,
 }
 
 impl WorkloadProfiler {
@@ -187,25 +179,14 @@ impl WorkloadProfiler {
         self.table
     }
 
-    /// The passive characterization accumulated for a zone (paper §4.6:
-    /// characterization "constructed passively as part of the normal
-    /// function execution").
-    pub fn passive_characterization(&self, az: &AzId) -> Option<&Characterization> {
-        self.passive.get(az)
-    }
-
     /// Fold a batch of outcomes (from any source — profiling runs or
-    /// production traffic) into the table and passive characterizations.
+    /// production traffic) into the table.
     pub fn fold_outcomes(&mut self, kind: WorkloadKind, outcomes: &[InvocationOutcome]) {
         for o in outcomes {
             if let sky_faas::InvocationStatus::Success(report) = &o.status {
                 if let Some(cpu) = report.cpu_type() {
                     self.table.record(kind, cpu, o.billed);
                 }
-                self.passive
-                    .entry(report.az.clone())
-                    .or_default()
-                    .observe(report);
             }
         }
     }
@@ -270,6 +251,7 @@ impl WorkloadProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::characterization::Characterization;
     use sky_cloud::{Arch, Catalog, Provider};
     use sky_faas::FleetConfig;
     use sky_workloads::PerfModel;
@@ -373,6 +355,7 @@ mod tests {
         let account = engine.create_account(Provider::Aws);
         let az: AzId = "us-west-1b".parse().unwrap();
         let dep = engine.deploy(account, &az, 2048, Arch::X86_64).unwrap();
+        engine.set_observation_hook(true);
         let mut profiler = WorkloadProfiler::new();
         let run = profiler.profile(
             &mut engine,
@@ -403,8 +386,10 @@ mod tests {
                 "{cpu}: observed {factor:.3} vs model {model:.3}"
             );
         }
-        // Passive characterization accumulated alongside.
-        let passive = profiler.passive_characterization(&az).unwrap();
+        // The observation hook carried the same traffic's reports: a
+        // passive characterization at no extra cost (§4.6).
+        let mut passive = Characterization::new();
+        passive.observe_all(&engine.take_observations(&az));
         assert!(passive.unique_fis() > 50);
     }
 }

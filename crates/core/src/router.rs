@@ -6,12 +6,12 @@
 //!
 //! * **Baseline** — everything to one fixed zone (the paper's comparator);
 //! * **Regional** — choose the candidate zone whose current CPU mix
-//!   minimizes expected runtime;
+//!   minimizes expected runtime. Re-run at each burst on the freshest
+//!   characterizations, this is region hopping (EX-5's daily
+//!   adaptation);
 //! * **Retry** — stay in a zone but CPU-gate every request, declining and
 //!   reissuing off the banned CPUs (`retry slow` bans the two slowest,
 //!   `focus fastest` bans all but the best);
-//! * **Region hopping** — re-run the regional choice at each burst using
-//!   the freshest characterizations (EX-5's daily adaptation);
 //! * **Hybrid** — region hopping plus retries inside the chosen zone.
 
 use crate::profiler::RuntimeTable;
@@ -92,11 +92,6 @@ pub enum RoutingPolicy {
         /// Ban-set selection.
         mode: RetryMode,
     },
-    /// Re-pick the best zone per burst (region hopping), ungated.
-    RegionHop {
-        /// Candidate zones.
-        candidates: Vec<AzId>,
-    },
     /// Region hopping plus in-zone retries — the paper's best performer.
     Hybrid {
         /// Candidate zones.
@@ -136,7 +131,6 @@ impl RoutingPolicy {
             RoutingPolicy::Baseline { .. } => "baseline",
             RoutingPolicy::Regional { .. } => "regional",
             RoutingPolicy::Retry { .. } => "retry",
-            RoutingPolicy::RegionHop { .. } => "region-hop",
             RoutingPolicy::Hybrid { .. } => "hybrid",
             RoutingPolicy::CarbonAware { .. } => "carbon-aware",
             RoutingPolicy::UcbAz { .. } => "ucb-az",
@@ -576,7 +570,7 @@ impl SmartRouter {
         let now = engine.now();
         let (az, banned) = match policy {
             RoutingPolicy::Baseline { az } => (az.clone(), None),
-            RoutingPolicy::Regional { candidates } | RoutingPolicy::RegionHop { candidates } => (
+            RoutingPolicy::Regional { candidates } => (
                 self.choose_az_bounded(kind, candidates, now, engine.catalog()),
                 None,
             ),

@@ -3,12 +3,15 @@
 //! Holds time-stamped CPU characterizations per AZ, answers staleness
 //! questions ("how old is my view of us-west-1b?"), tracks drift history
 //! (EX-4, Figure 7) and classifies zones as stable or volatile so the
-//! sampling scheduler can spend probes where they matter (paper §4.4's
-//! suggestion, implemented).
+//! characterizer's cadence can spend probes where they matter (paper
+//! §4.4's suggestion, implemented). [`CharacterizationStore::probe`] is
+//! the one way a sampling campaign's result enters a store.
 
 use crate::characterization::{age_in_days, estimate_age};
+use crate::sampling::{CampaignConfig, PollConfig, SamplingCampaign};
 use serde::{Deserialize, Serialize};
 use sky_cloud::{AzId, CpuMix};
+use sky_faas::{AccountId, DeployError, FaasEngine};
 use sky_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -115,6 +118,55 @@ impl CharacterizationStore {
         });
     }
 
+    /// Probe a zone with `polls` sampling polls (paper §3.1), each
+    /// against its own freshly deployed probe function, and record the
+    /// result as the zone's newest snapshot. The snapshot is stamped when
+    /// the first poll starts and carries the probe's failure rate, so a
+    /// zone in outage reads as unhealthy.
+    ///
+    /// The engine's observation hook is paused while the polls run and
+    /// then restored: probe traffic never reaches a characterizer as
+    /// production evidence.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DeployError`] from deploying the probe functions;
+    /// the store is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine's clock precedes the zone's latest snapshot.
+    pub fn probe(
+        &mut self,
+        engine: &mut FaasEngine,
+        account: AccountId,
+        az: &AzId,
+        polls: usize,
+        poll: PollConfig,
+    ) -> Result<&Snapshot, DeployError> {
+        let config = CampaignConfig {
+            deployments: polls,
+            poll,
+            ..Default::default()
+        };
+        let mut campaign = SamplingCampaign::new(engine, account, az, config)?;
+        let at = engine.now();
+        let hook = engine.observation_hook();
+        engine.set_observation_hook(false);
+        campaign.run_polls(engine, polls);
+        engine.set_observation_hook(hook);
+        let found = campaign.characterization();
+        self.record_with_health(
+            az,
+            at,
+            found.to_mix(),
+            found.unique_fis(),
+            campaign.total_cost_usd(),
+            campaign.overall_failure_rate(),
+        );
+        Ok(self.latest(az).expect("a snapshot was just recorded"))
+    }
+
     /// The most recent snapshot for a zone.
     pub fn latest(&self, az: &AzId) -> Option<&Snapshot> {
         self.history.get(az).and_then(|v| v.last())
@@ -197,23 +249,13 @@ impl CharacterizationStore {
             StabilityClass::Stable
         }
     }
-
-    /// Recommended re-sampling interval for a zone: volatile zones get
-    /// daily refreshes, stable zones can coast (the profiling-cost
-    /// optimization of §4.4).
-    pub fn recommended_interval(&self, az: &AzId) -> SimDuration {
-        match self.classify(az) {
-            StabilityClass::Volatile => SimDuration::from_hours(22),
-            StabilityClass::Stable => SimDuration::from_days(7),
-            StabilityClass::Unknown => SimDuration::from_hours(22),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sky_cloud::CpuType;
+    use sky_cloud::{Catalog, CpuType, Provider};
+    use sky_faas::FleetConfig;
 
     fn az(s: &str) -> AzId {
         s.parse().unwrap()
@@ -291,10 +333,38 @@ mod tests {
         assert_eq!(store.classify(&stable), StabilityClass::Stable);
         assert_eq!(store.classify(&volatile), StabilityClass::Volatile);
         assert_eq!(store.classify(&az("unseen-1a")), StabilityClass::Unknown);
+    }
+
+    #[test]
+    fn probe_records_health_and_keeps_probe_traffic_off_the_hook() {
+        let mut engine = FaasEngine::new(Catalog::paper_world(5), FleetConfig::new(5));
+        let account = engine.create_account(Provider::Aws);
+        let zone = az("eu-north-1a");
+        engine.set_observation_hook(true);
+        let mut store = CharacterizationStore::new();
+        let now = engine.now();
+        let first = store
+            .probe(&mut engine, account, &zone, 2, PollConfig::default())
+            .unwrap();
+        assert_eq!(first.at, now, "stamped when the first poll starts");
+        assert!(first.samples > 0 && first.cost_usd > 0.0);
+        assert!(first.healthy());
+        assert!(engine.observation_hook(), "the hook is restored");
         assert!(
-            store.recommended_interval(&stable) > store.recommended_interval(&volatile),
-            "stable zones are sampled less often"
+            engine.take_observations(&zone).is_empty(),
+            "probe traffic is not production evidence"
         );
+
+        // Once the zone is saturated, the next probe reads as an outage.
+        SamplingCampaign::new(&mut engine, account, &zone, CampaignConfig::default())
+            .unwrap()
+            .run_until_saturation(&mut engine);
+        let second = store
+            .probe(&mut engine, account, &zone, 2, PollConfig::default())
+            .unwrap();
+        assert!(second.failure_rate > 0.5, "{}", second.failure_rate);
+        assert!(!second.healthy());
+        assert_eq!(store.history(&zone).len(), 2);
     }
 
     #[test]

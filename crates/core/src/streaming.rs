@@ -8,8 +8,10 @@
 //! path into a pluggable [`Characterizer`]:
 //!
 //! * [`StaticCharacterizer`] — the paper's comparator: probe-only
-//!   knowledge refreshed on a fixed cadence until the probe budget runs
-//!   out, production traffic ignored;
+//!   knowledge refreshed on a cadence until the probe budget runs out,
+//!   production traffic ignored. The cadence is a [`SchedulerConfig`]:
+//!   22 h for every zone, or §4.4's adaptive variant that lets zones
+//!   whose probe history classifies stable coast for a week;
 //! * [`StreamingCharacterizer`] — every completed invocation's SAAF
 //!   report (fed back through the faas engine's observation hook) decays
 //!   into a per-(AZ, CPU-type) fixed-point EWMA estimate, and a CUSUM
@@ -21,6 +23,7 @@
 //! across runs and `--jobs` settings.
 
 use crate::characterization::estimate_age;
+use crate::store::{CharacterizationStore, StabilityClass};
 use serde::{Deserialize, Serialize};
 use sky_cloud::{AzId, CpuMix, CpuType};
 use sky_faas::SaafReport;
@@ -70,29 +73,83 @@ pub trait Characterizer {
     fn probe_budget(&self) -> u32;
 }
 
+/// Re-probe cadence policy (paper §4.4). EX-4 found that some zones'
+/// characterizations stay valid for two weeks while others rot within a
+/// day, "offering an opportunity to classify AZs' behavior to determine
+/// sampling requirements". The cadence classifies a zone from its probe
+/// history: volatile zones are re-probed on the paper's 22 h cadence,
+/// stable zones weekly, and zones with too little history eagerly.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SchedulerConfig {
+    /// Re-probe interval for volatile (and unclassified) zones.
+    pub volatile_interval: SimDuration,
+    /// Re-probe interval for stable zones.
+    pub stable_interval: SimDuration,
+    /// Probes required before a zone may be treated as stable (guards
+    /// against classifying on a lucky quiet day).
+    pub min_history: usize,
+}
+
+impl Default for SchedulerConfig {
+    fn default() -> Self {
+        SchedulerConfig {
+            volatile_interval: SimDuration::from_hours(22),
+            stable_interval: SimDuration::from_days(7),
+            min_history: 3,
+        }
+    }
+}
+
+impl SchedulerConfig {
+    /// The interval currently appropriate for a zone, given its probe
+    /// history.
+    pub fn interval_for(&self, history: &CharacterizationStore, az: &AzId) -> SimDuration {
+        if history.history(az).len() < self.min_history {
+            return self.volatile_interval;
+        }
+        match history.classify(az) {
+            StabilityClass::Stable => self.stable_interval,
+            StabilityClass::Volatile | StabilityClass::Unknown => self.volatile_interval,
+        }
+    }
+}
+
 /// The paper's static comparator: the estimate is whatever the last
-/// sampling campaign saw, re-sampling happens on a fixed cadence (22 h
-/// by default) while budget remains, and production traffic teaches it
+/// sampling campaign saw, re-sampling follows a [`SchedulerConfig`]
+/// cadence while budget remains, and production traffic teaches it
 /// nothing. Routing through this characterizer reproduces the existing
 /// store-driven behavior byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticCharacterizer {
-    /// Re-sampling cadence (paper: 22 h, so the probe hour walks around
-    /// the clock).
-    pub cadence: SimDuration,
+    cadence: SchedulerConfig,
     probe_budget: u32,
     probes_used: u32,
-    snapshots: BTreeMap<AzId, (SimTime, CpuMix)>,
+    history: CharacterizationStore,
 }
 
 impl StaticCharacterizer {
-    /// A static characterizer with the paper's 22 h cadence.
+    /// The paper's comparator: every zone is re-probed on the 22 h
+    /// cadence (so the probe hour walks around the clock), whatever its
+    /// history.
     pub fn new(probe_budget: u32) -> Self {
+        let daily = SchedulerConfig::default().volatile_interval;
+        Self::with_cadence(
+            SchedulerConfig {
+                stable_interval: daily,
+                ..Default::default()
+            },
+            probe_budget,
+        )
+    }
+
+    /// A characterizer on the given cadence; `SchedulerConfig::default()`
+    /// is §4.4's adaptive cadence.
+    pub fn with_cadence(cadence: SchedulerConfig, probe_budget: u32) -> Self {
         StaticCharacterizer {
-            cadence: SimDuration::from_hours(22),
+            cadence,
             probe_budget,
             probes_used: 0,
-            snapshots: BTreeMap::new(),
+            history: CharacterizationStore::new(),
         }
     }
 }
@@ -108,25 +165,29 @@ impl Characterizer for StaticCharacterizer {
     }
 
     fn estimate(&self, az: &AzId) -> Option<CpuMix> {
-        self.snapshots.get(az).map(|(_, mix)| mix.clone())
+        self.history.latest(az).map(|s| s.mix.clone())
     }
 
     fn last_evidence_at(&self, az: &AzId) -> Option<SimTime> {
-        self.snapshots.get(az).map(|&(at, _)| at)
+        self.history.latest(az).map(|s| s.at)
     }
 
     fn wants_probe(&self, az: &AzId, now: SimTime) -> bool {
         if self.probes_used >= self.probe_budget {
             return false;
         }
-        match self.last_evidence_at(az) {
+        match self.history.age(az, now) {
             None => true,
-            Some(at) => estimate_age(at, now) >= self.cadence,
+            Some(age) => age >= self.cadence.interval_for(&self.history, az),
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics if `at` precedes the zone's previous probe (the probe
+    /// history is a [`CharacterizationStore`], which keeps time order).
     fn record_probe(&mut self, az: &AzId, at: SimTime, mix: &CpuMix) {
-        self.snapshots.insert(az.clone(), (at, mix.clone()));
+        self.history.record(az, at, mix.clone(), 0, 0.0);
         self.probes_used += 1;
     }
 
@@ -264,11 +325,6 @@ impl StreamingCharacterizer {
         self.zones.get(az).map(|z| z.observations).unwrap_or(0)
     }
 
-    /// Observations since the zone's last probe (or creation).
-    pub fn observations_since_reset(&self, az: &AzId) -> u32 {
-        self.zones.get(az).map(|z| z.since_reset).unwrap_or(0)
-    }
-
     /// Current CUSUM statistic (x10 000) — visible for experiments that
     /// plot detector trajectories.
     pub fn cusum_x10k(&self, az: &AzId) -> i64 {
@@ -383,6 +439,27 @@ mod tests {
         }
     }
 
+    /// Day `day`'s probed mix of a zone that swings 25 points either way
+    /// daily (volatile) or creeps half a point a day (stable).
+    fn daily_mix(volatile: bool, day: u64) -> CpuMix {
+        let swing = match (volatile, day % 2) {
+            (false, _) => 0.005 * day as f64,
+            (true, 0) => 0.25,
+            (true, _) => -0.25,
+        };
+        CpuMix::from_shares(&[
+            (CpuType::IntelXeon2_5, 0.5 + swing),
+            (CpuType::IntelXeon3_0, 0.5 - swing),
+        ])
+    }
+
+    fn seed_history(store: &mut CharacterizationStore, zone: &AzId, volatile: bool, days: u64) {
+        for day in 0..days {
+            let at = SimTime::start_of_day(day);
+            store.record(zone, at, daily_mix(volatile, day), 900, 0.01);
+        }
+    }
+
     fn draw_cpu(rng: &mut SimRng, mix: &CpuMix) -> CpuType {
         let entries: Vec<(CpuType, f64)> = mix.iter().collect();
         let weights: Vec<f64> = entries.iter().map(|&(_, w)| w).collect();
@@ -422,6 +499,79 @@ mod tests {
         // Budget exhaustion silences the cadence.
         chr.record_probe(&zone, later, &chr.estimate(&zone).unwrap());
         assert!(!chr.wants_probe(&zone, later + SimDuration::from_days(30)));
+    }
+
+    #[test]
+    fn young_history_stays_on_volatile_cadence() {
+        let cadence = SchedulerConfig::default();
+        let mut store = CharacterizationStore::new();
+        let zone = az("sa-east-1a");
+        seed_history(&mut store, &zone, false, 2); // stable-looking, but thin
+        assert_eq!(
+            cadence.interval_for(&store, &zone),
+            cadence.volatile_interval,
+            "below min_history: stay eager"
+        );
+    }
+
+    #[test]
+    fn stable_zone_earns_a_long_interval() {
+        let cadence = SchedulerConfig::default();
+        let mut store = CharacterizationStore::new();
+        let stable = az("sa-east-1a");
+        let volatile = az("us-west-1b");
+        seed_history(&mut store, &stable, false, 5);
+        seed_history(&mut store, &volatile, true, 5);
+        assert_eq!(
+            cadence.interval_for(&store, &stable),
+            SimDuration::from_days(7)
+        );
+        assert_eq!(
+            cadence.interval_for(&store, &volatile),
+            SimDuration::from_hours(22)
+        );
+    }
+
+    #[test]
+    fn unsampled_zone_is_immediately_due() {
+        let chr = StaticCharacterizer::with_cadence(SchedulerConfig::default(), 1);
+        assert!(chr.wants_probe(&az("us-west-1a"), SimTime::ZERO));
+    }
+
+    #[test]
+    fn due_time_tracks_latest_snapshot() {
+        let zone = az("eu-north-1a");
+        let mut chr = StaticCharacterizer::with_cadence(SchedulerConfig::default(), 5);
+        for day in 0..4 {
+            chr.record_probe(&zone, SimTime::start_of_day(day), &daily_mix(true, day));
+        }
+        // Due exactly one volatile interval after the latest probe.
+        let due = chr.last_evidence_at(&zone).unwrap() + SimDuration::from_hours(22);
+        assert!(!chr.wants_probe(&zone, due - SimDuration::from_micros(1)));
+        assert!(chr.wants_probe(&zone, due));
+    }
+
+    #[test]
+    fn adaptive_cadence_reprobes_volatile_zones_first() {
+        let stable = az("sa-east-1a");
+        let volatile = az("us-west-1b");
+        let mut chr = StaticCharacterizer::with_cadence(SchedulerConfig::default(), 11);
+        for day in 0..5 {
+            let at = SimTime::start_of_day(day);
+            chr.record_probe(&stable, at, &daily_mix(false, day));
+            chr.record_probe(&volatile, at, &daily_mix(true, day));
+        }
+        // Two days after the last probe only the volatile zone is due;
+        // eight days after, the stable one is due too.
+        let two_days_on = SimTime::start_of_day(6);
+        assert!(chr.wants_probe(&volatile, two_days_on));
+        assert!(!chr.wants_probe(&stable, two_days_on));
+        assert!(chr.wants_probe(&stable, SimTime::start_of_day(12)));
+        // Spending the last unit of budget silences both zones.
+        chr.record_probe(&volatile, two_days_on, &daily_mix(true, 6));
+        let later = SimTime::start_of_day(40);
+        assert!(!chr.wants_probe(&volatile, later));
+        assert!(!chr.wants_probe(&stable, later));
     }
 
     /// Property: the EWMA estimate stays within the convex hull of the

@@ -41,7 +41,7 @@ pub mod sharded;
 
 pub use engine::{DeployError, Deployment, FaasEngine, FleetConfig};
 pub use ids::{AccountId, DeploymentId, HostId, InstanceId};
-pub use lifecycle::{ExecMode, ExecProfile, FiEvent, FiState, PoolPolicy, SnapshotId, StartClass};
+pub use lifecycle::{ExecMode, ExecProfile, PoolPolicy, SnapshotId, StartClass};
 pub use platform::{AzPlatform, CapacityError, Host, Instance, PoolTickStats, Snapshot};
 pub use report::SaafReport;
 pub use request::{BatchRequest, InvocationOutcome, InvocationStatus, RequestBody, WorkloadSpec};

@@ -6,9 +6,9 @@
 //! copy-on-write branches off a parent snapshot, and always-on persistent
 //! environments. This module defines that spectrum as data — the
 //! [`ExecMode`] a deployment runs under, the [`StartClass`] each
-//! acquisition resolves to, the [`FiState`] machine an instance walks, and
-//! the declarative [`PoolPolicy`]/[`ExecProfile`] knobs — while
-//! `platform.rs` and `engine.rs` supply the mechanics.
+//! acquisition resolves to, and the declarative
+//! [`PoolPolicy`]/[`ExecProfile`] knobs — while `platform.rs` and
+//! `engine.rs` supply the mechanics.
 //!
 //! Everything here is integer/enum arithmetic with no randomness: mode
 //! selection must never perturb the engine's RNG streams, so a deployment
@@ -120,69 +120,6 @@ impl StartClass {
     /// CRIU restore — they do *not* look new to the profiler.
     pub fn new_container(self) -> bool {
         matches!(self, StartClass::Cold)
-    }
-}
-
-/// Lifecycle states of a function instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FiState {
-    /// Being provisioned from scratch (cold start in progress).
-    Provisioning,
-    /// Being restored from a snapshot.
-    Restoring,
-    /// Being CoW-branched off a parent snapshot.
-    Branching,
-    /// Executing an invocation.
-    Active,
-    /// Idle, eligible for warm reuse (or parked in the pre-warm pool).
-    WarmIdle,
-    /// Destroyed; terminal.
-    Retired,
-}
-
-/// Inputs that drive the [`FiState`] machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FiEvent {
-    /// Initialization (provision/restore/branch) completed.
-    Ready,
-    /// An invocation was dispatched to the instance.
-    Dispatch,
-    /// The invocation finished and the instance idles.
-    Release,
-    /// Keep-alive lapse, pool trim, ephemeral teardown, or purge.
-    Retire,
-}
-
-impl FiState {
-    /// Pure transition function: `Some(next)` for a legal transition,
-    /// `None` for an illegal one. The platform asserts it never takes an
-    /// illegal edge; the property suite enumerates the whole graph.
-    pub fn step(self, event: FiEvent) -> Option<FiState> {
-        match (self, event) {
-            // All three init states complete into Active (acquire hands
-            // the instance its first invocation immediately).
-            (FiState::Provisioning, FiEvent::Ready)
-            | (FiState::Restoring, FiEvent::Ready)
-            | (FiState::Branching, FiEvent::Ready) => Some(FiState::Active),
-            (FiState::Active, FiEvent::Release) => Some(FiState::WarmIdle),
-            // Ephemeral instances retire straight out of execution.
-            (FiState::Active, FiEvent::Retire) => Some(FiState::Retired),
-            (FiState::WarmIdle, FiEvent::Dispatch) => Some(FiState::Active),
-            (FiState::WarmIdle, FiEvent::Retire) => Some(FiState::Retired),
-            _ => None,
-        }
-    }
-
-    /// The init state a given start class begins in.
-    pub fn initial(class: StartClass) -> FiState {
-        match class {
-            StartClass::Cold => FiState::Provisioning,
-            StartClass::Restored => FiState::Restoring,
-            StartClass::Branched => FiState::Branching,
-            // Pooled instances were provisioned ahead of time and sit in
-            // WarmIdle; warm reuse likewise dispatches out of WarmIdle.
-            StartClass::Pooled | StartClass::Warm => FiState::WarmIdle,
-        }
     }
 }
 
@@ -357,43 +294,6 @@ mod tests {
             seen[m.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn state_machine_legal_paths() {
-        // provision → active → idle → active → idle → retire
-        let s = FiState::Provisioning.step(FiEvent::Ready).unwrap();
-        assert_eq!(s, FiState::Active);
-        let s = s.step(FiEvent::Release).unwrap();
-        assert_eq!(s, FiState::WarmIdle);
-        let s = s.step(FiEvent::Dispatch).unwrap();
-        assert_eq!(s, FiState::Active);
-        let s = s.step(FiEvent::Release).unwrap();
-        let s = s.step(FiEvent::Retire).unwrap();
-        assert_eq!(s, FiState::Retired);
-        // restore and branch inits reach Active too
-        assert_eq!(
-            FiState::Restoring.step(FiEvent::Ready),
-            Some(FiState::Active)
-        );
-        assert_eq!(
-            FiState::Branching.step(FiEvent::Ready),
-            Some(FiState::Active)
-        );
-        // ephemeral: active retires directly
-        assert_eq!(
-            FiState::Active.step(FiEvent::Retire),
-            Some(FiState::Retired)
-        );
-    }
-
-    #[test]
-    fn state_machine_illegal_edges() {
-        assert_eq!(FiState::Retired.step(FiEvent::Dispatch), None);
-        assert_eq!(FiState::Retired.step(FiEvent::Ready), None);
-        assert_eq!(FiState::Provisioning.step(FiEvent::Release), None);
-        assert_eq!(FiState::WarmIdle.step(FiEvent::Release), None);
-        assert_eq!(FiState::Active.step(FiEvent::Dispatch), None);
     }
 
     #[test]

@@ -418,11 +418,6 @@ impl AzPlatform {
         std::mem::take(&mut self.observations)
     }
 
-    /// Buffered completion reports awaiting drain.
-    pub fn pending_observations(&self) -> usize {
-        self.observations.len()
-    }
-
     /// Number of hosts currently provisioned (x86 + arm).
     pub fn host_count(&self) -> usize {
         self.hosts.len()

@@ -49,6 +49,10 @@ use sky_sim::{SimDuration, SimRng, SimTime};
 /// traffic exists, so any positive window is correct).
 const SOLO_WINDOW: SimDuration = SimDuration::from_millis(50);
 
+/// Maximum cross-lane hops a shed request may take before its shed
+/// outcome becomes terminal.
+const MAX_HOPS: u32 = 2;
+
 /// FNV-1a 64-bit offset basis / prime — the workspace's standard cheap
 /// deterministic digest (no hasher state beyond one u64).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -155,7 +159,6 @@ impl FleetCounts {
 /// threads in the same window — the outbox is drained only after the
 /// barrier, on the coordinating thread.
 struct Lane {
-    az: AzId,
     engine: FaasEngine,
     deployment: DeploymentId,
     /// Inbox, kept sorted by `(at, id)`.
@@ -172,7 +175,7 @@ struct Lane {
 impl Lane {
     /// Run every arrival due before `window_end` as one batch; classify
     /// outcomes into terminal counts or ring forwards.
-    fn step(&mut self, self_idx: u32, window_end: SimTime, max_hops: u32) {
+    fn step(&mut self, self_idx: u32, window_end: SimTime) {
         let due_len = self.pending.partition_point(|p| p.at < window_end);
         if due_len == 0 {
             return;
@@ -195,7 +198,7 @@ impl Lane {
                 outcome.status,
                 InvocationStatus::Throttled | InvocationStatus::NoCapacity
             );
-            if shed && arr.hops < max_hops && self.forward_to != self_idx {
+            if shed && arr.hops < MAX_HOPS && self.forward_to != self_idx {
                 self.counts.forwarded += 1;
                 self.outbox.push(Forward {
                     at: outcome.finished + self.forward_latency,
@@ -272,7 +275,6 @@ pub struct ShardedFleet {
     lanes: Vec<Lane>,
     shards: usize,
     window: SimDuration,
-    max_hops: u32,
     next_id: u64,
     windows_run: u64,
 }
@@ -336,7 +338,6 @@ impl ShardedFleet {
                     .unwrap_or_else(|e| panic!("fleet deploy to {az} failed: {e}"));
                 let forward_to = ((i + 1) % n) as u32;
                 Lane {
-                    az: az.clone(),
                     engine,
                     deployment,
                     pending: Vec::new(),
@@ -352,7 +353,6 @@ impl ShardedFleet {
             lanes,
             shards: shards.max(1),
             window,
-            max_hops: 2,
             next_id: 0,
             windows_run: 0,
         }
@@ -362,16 +362,6 @@ impl ShardedFleet {
     /// latency (or a fixed 50 ms for single-lane fleets).
     pub fn window(&self) -> SimDuration {
         self.window
-    }
-
-    /// Zone of lane `i`.
-    pub fn lane_az(&self, i: usize) -> &AzId {
-        &self.lanes[i].az
-    }
-
-    /// Maximum cross-lane hops a shed request may take (default 2).
-    pub fn set_max_hops(&mut self, hops: u32) {
-        self.max_hops = hops;
     }
 
     /// Run `requests` to completion (including all ring forwards) and
@@ -439,12 +429,11 @@ impl ShardedFleet {
     /// own scoped thread and mutates only its own lanes (results land in
     /// per-lane fields — no shared accumulator, no lock ordering).
     fn step_window(&mut self, window_end: SimTime) {
-        let max_hops = self.max_hops;
         let shards = self.shards.min(self.lanes.len());
         let n = self.lanes.len();
         if shards <= 1 {
             for (i, lane) in self.lanes.iter_mut().enumerate() {
-                lane.step(i as u32, window_end, max_hops);
+                lane.step(i as u32, window_end);
             }
             return;
         }
@@ -463,7 +452,7 @@ impl ShardedFleet {
             for (base, group) in groups {
                 s.spawn(move |_| {
                     for (offset, lane) in group.iter_mut().enumerate() {
-                        lane.step((base + offset) as u32, window_end, max_hops);
+                        lane.step((base + offset) as u32, window_end);
                     }
                 });
             }

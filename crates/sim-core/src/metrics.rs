@@ -102,12 +102,6 @@ impl LogHistogram {
         self.buckets[bucket_index(value)] += 1;
     }
 
-    /// Record a duration as microseconds.
-    #[inline]
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count

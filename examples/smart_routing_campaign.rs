@@ -11,8 +11,8 @@ use sky_core::faas::{FaasEngine, FleetConfig};
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, RetryMode, RouterConfig,
-    RoutingPolicy, SamplingCampaign, SmartRouter, WorkloadProfiler,
+    savings_fraction, CharacterizationStore, PollConfig, RetryMode, RouterConfig, RoutingPolicy,
+    SmartRouter, WorkloadProfiler,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,24 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for day in 0..5u64 {
         engine.advance_to(start + SimDuration::from_days(day) + SimDuration::from_hours(2));
         for az in &candidates {
-            let mut campaign = SamplingCampaign::new(
-                &mut engine,
-                account,
-                az,
-                CampaignConfig {
-                    deployments: 4,
-                    ..Default::default()
-                },
-            )?;
-            let at = engine.now();
-            campaign.run_polls(&mut engine, 4);
-            store.record(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-            );
+            store.probe(&mut engine, account, az, 4, PollConfig::default())?;
         }
         let router = SmartRouter::new(store.clone(), table.clone(), RouterConfig::default());
         let resolve = |az: &sky_core::cloud::AzId| deployments.get(az).copied();

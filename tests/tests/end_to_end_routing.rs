@@ -4,8 +4,8 @@
 
 use sky_cloud::{Arch, Catalog, CpuType, Provider};
 use sky_core::{
-    savings_fraction, CampaignConfig, CharacterizationStore, RetryMode, RouterConfig,
-    RoutingPolicy, SamplingCampaign, SmartRouter, WorkloadProfiler,
+    savings_fraction, CharacterizationStore, PollConfig, RetryMode, RouterConfig, RoutingPolicy,
+    SmartRouter, WorkloadProfiler,
 };
 use sky_faas::{FaasEngine, FleetConfig};
 use sky_sim::SimDuration;
@@ -121,25 +121,9 @@ fn sampled_characterizations_steer_regional_routing() {
     // Sample both zones for the store (the router's only knowledge).
     let mut store = CharacterizationStore::new();
     for az in [&slow_zone, &fast_zone] {
-        let mut campaign = SamplingCampaign::new(
-            &mut rig.engine,
-            rig.account,
-            az,
-            CampaignConfig {
-                deployments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let at = rig.engine.now();
-        campaign.run_polls(&mut rig.engine, 4);
-        store.record(
-            az,
-            at,
-            campaign.characterization().to_mix(),
-            campaign.characterization().unique_fis(),
-            campaign.total_cost_usd(),
-        );
+        store
+            .probe(&mut rig.engine, rig.account, az, 4, PollConfig::default())
+            .unwrap();
     }
     let router = SmartRouter::new(store, table, RouterConfig::default());
 

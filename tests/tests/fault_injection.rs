@@ -150,26 +150,9 @@ fn router_routes_around_an_outaged_zone() {
     // Sample both zones while healthy: the fast zone wins.
     let sample =
         |engine: &mut FaasEngine, store: &mut CharacterizationStore, az: &sky_cloud::AzId| {
-            let mut campaign = SamplingCampaign::new(
-                engine,
-                account,
-                az,
-                CampaignConfig {
-                    deployments: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let at = engine.now();
-            campaign.run_polls(engine, 3);
-            store.record_with_health(
-                az,
-                at,
-                campaign.characterization().to_mix(),
-                campaign.characterization().unique_fis(),
-                campaign.total_cost_usd(),
-                campaign.overall_failure_rate(),
-            );
+            store
+                .probe(engine, account, az, 3, PollConfig::default())
+                .unwrap();
         };
     let mut store = CharacterizationStore::new();
     sample(&mut engine, &mut store, &primary);

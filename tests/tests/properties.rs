@@ -592,89 +592,7 @@ fn backoff_delays_are_monotone_and_bounded_for_random_policies() {
 // Execution-mode lifecycle properties (exec-mode subsystem).
 // ---------------------------------------------------------------------
 
-use sky_faas::{
-    BatchRequest, ExecMode, ExecProfile, FiEvent, FiState, PoolPolicy, RequestBody, StartClass,
-};
-
-/// The FI state machine's transition graph must be exactly the legal
-/// edge set: every listed edge steps, every unlisted `(state, event)`
-/// pair is rejected, `Retired` is absorbing, and every state is
-/// reachable from some start class's initial state.
-#[test]
-fn fi_state_machine_is_exactly_the_legal_edge_set() {
-    use FiEvent::*;
-    use FiState::*;
-    const STATES: [FiState; 6] = [
-        Provisioning,
-        Restoring,
-        Branching,
-        Active,
-        WarmIdle,
-        Retired,
-    ];
-    const EVENTS: [FiEvent; 4] = [Ready, Dispatch, Release, Retire];
-    const LEGAL: [(FiState, FiEvent, FiState); 7] = [
-        (Provisioning, Ready, Active),
-        (Restoring, Ready, Active),
-        (Branching, Ready, Active),
-        (Active, Release, WarmIdle),
-        (Active, Retire, Retired),
-        (WarmIdle, Dispatch, Active),
-        (WarmIdle, Retire, Retired),
-    ];
-    for state in STATES {
-        for event in EVENTS {
-            let expected = LEGAL
-                .iter()
-                .find(|&&(s, e, _)| s == state && e == event)
-                .map(|&(_, _, next)| next);
-            assert_eq!(
-                state.step(event),
-                expected,
-                "transition table mismatch at ({state:?}, {event:?})"
-            );
-        }
-    }
-    // Retired is absorbing.
-    for event in EVENTS {
-        assert_eq!(Retired.step(event), None);
-    }
-    // Every state is reachable: the three init states and WarmIdle come
-    // straight from `initial`, and Active/Retired from legal edges.
-    let initials: Vec<FiState> = [
-        StartClass::Cold,
-        StartClass::Restored,
-        StartClass::Branched,
-        StartClass::Pooled,
-        StartClass::Warm,
-    ]
-    .into_iter()
-    .map(FiState::initial)
-    .collect();
-    let mut reachable: Vec<FiState> = initials.clone();
-    loop {
-        let mut grew = false;
-        for &s in &reachable.clone() {
-            for e in EVENTS {
-                if let Some(next) = s.step(e) {
-                    if !reachable.contains(&next) {
-                        reachable.push(next);
-                        grew = true;
-                    }
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    for state in STATES {
-        assert!(
-            reachable.contains(&state),
-            "{state:?} unreachable from the start classes"
-        );
-    }
-}
+use sky_faas::{BatchRequest, ExecMode, ExecProfile, PoolPolicy, RequestBody};
 
 fn random_mode_engine(seed: u64) -> (sky_faas::FaasEngine, Vec<sky_faas::DeploymentId>) {
     use sky_cloud::{Arch, Catalog, Provider};
