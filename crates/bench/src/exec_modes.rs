@@ -17,12 +17,12 @@
 //! against the naive one under cached, checkpointed and branched
 //! lifecycles.
 //!
-//! Cells run on the PR-1 sweep runner and are pure functions of
-//! `(arm, scale)` from [`WORLD_SEED`], so both tables are
-//! byte-identical for any `--jobs` setting.
+//! Cells run on the sweep runner and are pure functions of
+//! `(arm, scale, seed)`, so both tables are byte-identical for any
+//! `--jobs` setting.
 
 use crate::sweep::{self, Jobs};
-use crate::{Scale, World, WORLD_SEED};
+use crate::{Scale, World};
 use sky_core::cloud::{Arch, AzId, CpuSet, CpuType};
 use sky_core::faas::{
     BatchRequest, ExecMode, ExecProfile, InvocationOutcome, PoolPolicy, RequestBody, WorkloadSpec,
@@ -179,9 +179,9 @@ fn usd_per_k(outcomes: &[InvocationOutcome]) -> f64 {
 /// Run one lifecycle arm: three concurrent sleep-bursts spaced by
 /// [`wave_gap`] in a fresh seeded world. Returns the row plus the arm's
 /// metric snapshot tagged with a `mode` label. Deterministic from
-/// [`WORLD_SEED`].
-pub fn run_mode_arm(arm: ModeArm, scale: Scale) -> (ModeRow, MetricsSnapshot) {
-    let mut world = World::new(WORLD_SEED);
+/// `seed`.
+pub fn run_mode_arm(arm: ModeArm, scale: Scale, seed: u64) -> (ModeRow, MetricsSnapshot) {
+    let mut world = World::new(seed);
     let az = mode_az();
     let dep = world
         .engine
@@ -236,16 +236,20 @@ pub fn run_mode_arm(arm: ModeArm, scale: Scale) -> (ModeRow, MetricsSnapshot) {
 
 /// All figure rows, fanned out over the sweep runner. Output is in
 /// `ModeArm::ALL` order regardless of `jobs`.
-pub fn fig_exec_modes_rows(scale: Scale, jobs: Jobs) -> Vec<ModeRow> {
-    fig_exec_modes_with_metrics(scale, jobs).0
+pub fn fig_exec_modes_rows(scale: Scale, jobs: Jobs, seed: u64) -> Vec<ModeRow> {
+    fig_exec_modes_with_metrics(scale, jobs, seed).0
 }
 
 /// All figure rows plus the experiment-wide metric snapshot. Cells are
 /// pure, and per-cell snapshots merge in `ModeArm::ALL` order, so both
 /// outputs are byte-identical for any `jobs` setting.
-pub fn fig_exec_modes_with_metrics(scale: Scale, jobs: Jobs) -> (Vec<ModeRow>, MetricsSnapshot) {
+pub fn fig_exec_modes_with_metrics(
+    scale: Scale,
+    jobs: Jobs,
+    seed: u64,
+) -> (Vec<ModeRow>, MetricsSnapshot) {
     let cells = sweep::run(ModeArm::ALL.to_vec(), jobs, |_, &arm| {
-        run_mode_arm(arm, scale)
+        run_mode_arm(arm, scale, seed)
     });
     let mut rows = Vec::with_capacity(cells.len());
     let mut metrics = MetricsSnapshot::new();
@@ -360,9 +364,14 @@ pub struct RoutingRow {
 
 /// Run one `(mode, gated)` arm: two request waves separated past the
 /// keep-alive ceiling on the heterogeneous retry zone. Deterministic
-/// from [`WORLD_SEED`].
-pub fn run_routing_arm(mode: ExecMode, gated: bool, scale: Scale) -> (RoutingRow, MetricsSnapshot) {
-    let mut world = World::new(WORLD_SEED);
+/// from `seed`.
+pub fn run_routing_arm(
+    mode: ExecMode,
+    gated: bool,
+    scale: Scale,
+    seed: u64,
+) -> (RoutingRow, MetricsSnapshot) {
+    let mut world = World::new(seed);
     let az = routing_az();
     let dep = world
         .engine
@@ -456,9 +465,10 @@ pub fn routing_cells() -> Vec<(ExecMode, bool)> {
 pub fn ablation_mode_routing_with_metrics(
     scale: Scale,
     jobs: Jobs,
+    seed: u64,
 ) -> (Vec<RoutingRow>, MetricsSnapshot) {
     let cells = sweep::run(routing_cells(), jobs, |_, &(mode, gated)| {
-        run_routing_arm(mode, gated, scale)
+        run_routing_arm(mode, gated, scale, seed)
     });
     let mut rows = Vec::with_capacity(cells.len());
     let mut metrics = MetricsSnapshot::new();
@@ -470,8 +480,8 @@ pub fn ablation_mode_routing_with_metrics(
 }
 
 /// All ablation rows.
-pub fn ablation_mode_routing_rows(scale: Scale, jobs: Jobs) -> Vec<RoutingRow> {
-    ablation_mode_routing_with_metrics(scale, jobs).0
+pub fn ablation_mode_routing_rows(scale: Scale, jobs: Jobs, seed: u64) -> Vec<RoutingRow> {
+    ablation_mode_routing_with_metrics(scale, jobs, seed).0
 }
 
 /// Render the ablation: a `(mode, policy)` grid, then the per-mode
@@ -536,10 +546,11 @@ pub fn render_ablation_mode_routing(rows: &[RoutingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WORLD_SEED;
 
     #[test]
     fn lifecycles_reuse_what_they_promise() {
-        let rows = fig_exec_modes_rows(Scale::Quick, Jobs::serial());
+        let rows = fig_exec_modes_rows(Scale::Quick, Jobs::serial(), WORLD_SEED);
         let n = (WAVES * wave_size(Scale::Quick)) as u64;
         let eph = find_row(&rows, ModeArm::Ephemeral);
         assert_eq!(eph.cold, n, "ephemeral cold-boots every request");
@@ -574,8 +585,8 @@ mod tests {
     #[test]
     fn steering_outruns_baseline_in_every_mode() {
         for mode in ROUTING_MODES {
-            let (base, _) = run_routing_arm(mode, false, Scale::Quick);
-            let (gated, _) = run_routing_arm(mode, true, Scale::Quick);
+            let (base, _) = run_routing_arm(mode, false, Scale::Quick, WORLD_SEED);
+            let (gated, _) = run_routing_arm(mode, true, Scale::Quick, WORLD_SEED);
             assert!(
                 gated.mean_billed_ms < base.mean_billed_ms,
                 "{}: steering onto fast CPUs must cut billed time ({:.0} vs {:.0} ms)",
@@ -600,17 +611,28 @@ mod tests {
 
     #[test]
     fn fig_rows_are_jobs_invariant() {
-        let serial = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::serial()));
-        let parallel = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::new(4)));
+        let serial = render_fig_exec_modes(&fig_exec_modes_rows(
+            Scale::Quick,
+            Jobs::serial(),
+            WORLD_SEED,
+        ));
+        let parallel =
+            render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::new(4), WORLD_SEED));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn ablation_rows_are_jobs_invariant() {
-        let serial =
-            render_ablation_mode_routing(&ablation_mode_routing_rows(Scale::Quick, Jobs::serial()));
-        let parallel =
-            render_ablation_mode_routing(&ablation_mode_routing_rows(Scale::Quick, Jobs::new(4)));
+        let serial = render_ablation_mode_routing(&ablation_mode_routing_rows(
+            Scale::Quick,
+            Jobs::serial(),
+            WORLD_SEED,
+        ));
+        let parallel = render_ablation_mode_routing(&ablation_mode_routing_rows(
+            Scale::Quick,
+            Jobs::new(4),
+            WORLD_SEED,
+        ));
         assert_eq!(serial, parallel);
     }
 }

@@ -51,7 +51,7 @@ fn run_arm(idx: usize, scale: Scale, seed: u64) -> ArmResult {
         .engine
         .deploy(world.aws, &az, 2048, Arch::X86_64)
         .expect("deploys");
-    let table = profile_workload(&mut world.engine, dep, kind, scale.pick(1_500, 400));
+    let table = profile_workload(&mut world.engine, dep, kind, scale.pick(1_500, 400), seed);
     world.engine.advance_by(SimDuration::from_mins(30));
     let ranking = table.ranking(kind);
 

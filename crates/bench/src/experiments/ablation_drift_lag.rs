@@ -120,6 +120,7 @@ fn run_cell(lambda_idx: usize, fault_idx: usize, scale: Scale, seed: u64) -> Cel
         deployments[&zone],
         kind,
         scale.pick(600, 200),
+        seed,
     );
     world.engine.advance_by(SimDuration::from_mins(30));
     if FAULTS[fault_idx] == "chaos" {

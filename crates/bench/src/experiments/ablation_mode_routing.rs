@@ -32,7 +32,7 @@ impl Experiment for AblationModeRouting {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let rows = ablation_mode_routing_rows(ctx.scale, ctx.jobs);
+        let rows = ablation_mode_routing_rows(ctx.scale, ctx.jobs, ctx.seed);
         out!(ctx, "{}", render_ablation_mode_routing(&rows));
         ctx.finish()
     }

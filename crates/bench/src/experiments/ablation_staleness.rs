@@ -42,6 +42,7 @@ fn route_at_age(idx: usize, scale: Scale, seed: u64) -> [String; 3] {
         deployments[&baseline_az],
         kind,
         scale.pick(1_200, 300),
+        seed,
     );
     world.engine.advance_by(SimDuration::from_mins(30));
 

@@ -53,6 +53,7 @@ impl Experiment for Availability {
             deployments[&single_zone],
             kind,
             scale.pick(900, 200),
+            ctx.seed,
         );
         world.engine.advance_by(SimDuration::from_mins(30));
 

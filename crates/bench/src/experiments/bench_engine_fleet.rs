@@ -5,9 +5,9 @@
 //!
 //! The rendered report contains only shard-invariant values (digests,
 //! outcome counts, windows, forwards, events), so the experiment is
-//! `deterministic()` and golden-pinned at quick scale — the `engine-scale`
-//! CI job runs it at all three shard counts through the normal golden
-//! gate. Host-time measurements of the fleet live in `perfbench`'s
+//! `deterministic()` and golden-pinned at quick scale: the golden
+//! harness runs it at all three shard counts through the quick gate.
+//! Host-time measurements of the fleet live in `perfbench`'s
 //! `fleet_ring` workload.
 //!
 //! [`ShardedFleet`]: sky_core::faas::ShardedFleet
@@ -147,7 +147,7 @@ impl Experiment for BenchEngineFleet {
             );
         }
         // The scaling contract. A divergence fails the experiment (and
-        // the engine-scale CI job) rather than rendering quietly.
+        // the golden harness) rather than rendering quietly.
         for run in &runs[1..] {
             assert_eq!(
                 run.report.digest, base.digest,

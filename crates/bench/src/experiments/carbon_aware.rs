@@ -57,6 +57,7 @@ impl Experiment for CarbonAware {
             deployments[&home],
             kind,
             scale.pick(900, 200),
+            ctx.seed,
         );
         world.engine.advance_by(SimDuration::from_mins(30));
         let mut store = CharacterizationStore::new();

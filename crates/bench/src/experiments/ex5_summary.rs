@@ -43,7 +43,7 @@ fn run_kind(kind: WorkloadKind, scale: Scale, seed: u64) -> KindResult {
         .engine
         .deploy(world.aws, &baseline, 2048, Arch::X86_64)
         .expect("deploys");
-    let table = profile_workload(&mut world.engine, dep, kind, scale.pick(1_000, 150));
+    let table = profile_workload(&mut world.engine, dep, kind, scale.pick(1_000, 150), seed);
     world.engine.advance_by(SimDuration::from_mins(30));
     let config = DailyRoutingConfig {
         kind,

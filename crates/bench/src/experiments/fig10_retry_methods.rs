@@ -55,7 +55,13 @@ impl Experiment for Fig10RetryMethods {
                 .engine
                 .deploy(world.aws, &az, 2048, Arch::X86_64)
                 .expect("deploys");
-            let table = profile_workload(&mut world.engine, dep, kind, scale.pick(1_200, 400));
+            let table = profile_workload(
+                &mut world.engine,
+                dep,
+                kind,
+                scale.pick(1_200, 400),
+                ctx.seed,
+            );
             world.engine.advance_by(SimDuration::from_mins(30));
             let config = DailyRoutingConfig {
                 kind,

@@ -135,6 +135,7 @@ fn run_cell(class_idx: usize, strat: usize, scale: Scale, seed: u64) -> CellRow 
         deployments[&candidates[0]],
         kind,
         scale.pick(900, 250),
+        seed,
     );
     world.engine.advance_by(SimDuration::from_mins(30));
 

@@ -34,7 +34,7 @@ impl Experiment for FigExecModes {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let rows = fig_exec_modes_rows(ctx.scale, ctx.jobs);
+        let rows = fig_exec_modes_rows(ctx.scale, ctx.jobs, ctx.seed);
         out!(ctx, "{}", render_fig_exec_modes(&rows));
         ctx.finish()
     }

@@ -30,7 +30,7 @@ impl Experiment for FigFaults {
     }
 
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
-        let rows = fig_faults_rows(ctx.scale, ctx.jobs);
+        let rows = fig_faults_rows(ctx.scale, ctx.jobs, ctx.seed);
         out!(ctx, "{}", render_fig_faults(&rows));
         ctx.finish()
     }

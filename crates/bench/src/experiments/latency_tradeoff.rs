@@ -59,6 +59,7 @@ impl Experiment for LatencyTradeoff {
             deployments[&home],
             kind,
             scale.pick(1_200, 300),
+            ctx.seed,
         );
         world.engine.advance_by(SimDuration::from_mins(30));
 

@@ -10,12 +10,12 @@
 //! slow tail, and routes around the fault through its per-AZ circuit
 //! breaker (failing over to a fallback zone).
 //!
-//! Cells run on the PR-1 sweep runner and are pure functions of
-//! `(class, scale)` from [`WORLD_SEED`], so the merged table is
-//! byte-identical for any `--jobs` setting.
+//! Cells run on the sweep runner and are pure functions of
+//! `(class, scale, seed)`, so the merged table is byte-identical for any
+//! `--jobs` setting.
 
 use crate::sweep::{self, Jobs};
-use crate::{Scale, World, WORLD_SEED};
+use crate::{Scale, World};
 use sky_core::cloud::{Arch, AzId, FaultKind, FaultPlan};
 use sky_core::sim::series::Table;
 use sky_core::sim::{MetricsSnapshot, SimDuration};
@@ -143,10 +143,14 @@ pub struct FaultFigRow {
 
 /// Run one `(class, policy)` arm in a fresh seeded world and return the
 /// report plus the arm's metric snapshot (engine + client registries,
-/// tagged with `class`/`policy` labels). Deterministic from
-/// [`WORLD_SEED`].
-fn run_arm(class: FaultClass, resilient: bool, scale: Scale) -> (ResilientReport, MetricsSnapshot) {
-    let mut world = World::new(WORLD_SEED);
+/// tagged with `class`/`policy` labels). Deterministic from `seed`.
+fn run_arm(
+    class: FaultClass,
+    resilient: bool,
+    scale: Scale,
+    seed: u64,
+) -> (ResilientReport, MetricsSnapshot) {
+    let mut world = World::new(seed);
     let primary = primary_az();
     let fallback = fallback_az();
     let dep_primary = world
@@ -195,9 +199,13 @@ fn run_arm(class: FaultClass, resilient: bool, scale: Scale) -> (ResilientReport
 
 /// Run one fault class (both policies) and keep the merged metric
 /// snapshot of both arms.
-pub fn run_fault_cell_full(class: FaultClass, scale: Scale) -> (FaultFigRow, MetricsSnapshot) {
-    let (baseline, mut metrics) = run_arm(class, false, scale);
-    let (resilient, resilient_metrics) = run_arm(class, true, scale);
+pub fn run_fault_cell_full(
+    class: FaultClass,
+    scale: Scale,
+    seed: u64,
+) -> (FaultFigRow, MetricsSnapshot) {
+    let (baseline, mut metrics) = run_arm(class, false, scale, seed);
+    let (resilient, resilient_metrics) = run_arm(class, true, scale, seed);
     metrics.merge(&resilient_metrics);
     (
         FaultFigRow {
@@ -210,15 +218,15 @@ pub fn run_fault_cell_full(class: FaultClass, scale: Scale) -> (FaultFigRow, Met
 }
 
 /// Run one fault class (both policies).
-pub fn run_fault_cell(class: FaultClass, scale: Scale) -> FaultFigRow {
-    run_fault_cell_full(class, scale).0
+pub fn run_fault_cell(class: FaultClass, scale: Scale, seed: u64) -> FaultFigRow {
+    run_fault_cell_full(class, scale, seed).0
 }
 
 /// All figure rows, fanned out over the sweep runner. Output is in
 /// `FaultClass::ALL` order regardless of `jobs`.
-pub fn fig_faults_rows(scale: Scale, jobs: Jobs) -> Vec<FaultFigRow> {
+pub fn fig_faults_rows(scale: Scale, jobs: Jobs, seed: u64) -> Vec<FaultFigRow> {
     sweep::run(FaultClass::ALL.to_vec(), jobs, |_, &class| {
-        run_fault_cell(class, scale)
+        run_fault_cell(class, scale, seed)
     })
 }
 
@@ -226,9 +234,13 @@ pub fn fig_faults_rows(scale: Scale, jobs: Jobs) -> Vec<FaultFigRow> {
 /// over the sweep runner. Cells are pure, and per-cell snapshots are
 /// merged in `FaultClass::ALL` order, so both outputs are byte-identical
 /// for any `jobs` setting.
-pub fn fig_faults_with_metrics(scale: Scale, jobs: Jobs) -> (Vec<FaultFigRow>, MetricsSnapshot) {
+pub fn fig_faults_with_metrics(
+    scale: Scale,
+    jobs: Jobs,
+    seed: u64,
+) -> (Vec<FaultFigRow>, MetricsSnapshot) {
     let cells = sweep::run(FaultClass::ALL.to_vec(), jobs, |_, &class| {
-        run_fault_cell_full(class, scale)
+        run_fault_cell_full(class, scale, seed)
     });
     let mut rows = Vec::with_capacity(cells.len());
     let mut metrics = MetricsSnapshot::new();
@@ -301,7 +313,7 @@ mod tests {
         // Quick scale keeps this inside unit-test budget; the full-scale
         // figure is exercised by the golden harness and the binary.
         for class in FaultClass::ALL {
-            let row = run_fault_cell(class, Scale::Quick);
+            let row = run_fault_cell(class, Scale::Quick, crate::WORLD_SEED);
             assert!(
                 row.resilient.goodput > row.baseline.goodput,
                 "{}: resilient {:.2} must beat baseline {:.2}",
@@ -320,8 +332,9 @@ mod tests {
 
     #[test]
     fn rows_are_jobs_invariant() {
-        let serial = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial()));
-        let parallel = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(4)));
+        let seed = crate::WORLD_SEED;
+        let serial = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial(), seed));
+        let parallel = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(4), seed));
         assert_eq!(serial, parallel);
     }
 }

@@ -235,21 +235,16 @@ impl Scenario {
 }
 
 /// Profile a workload on a deployment and return the learned table.
+/// The profiling runs draw their inputs from `seed ^ kind`.
 pub fn profile_workload(
     engine: &mut FaasEngine,
     deployment: DeploymentId,
     kind: WorkloadKind,
     runs: usize,
+    seed: u64,
 ) -> RuntimeTable {
     let mut profiler = WorkloadProfiler::new();
-    profiler.profile(
-        engine,
-        deployment,
-        kind,
-        runs,
-        200,
-        WORLD_SEED ^ kind as u64,
-    );
+    profiler.profile(engine, deployment, kind, runs, 200, seed ^ kind as u64);
     profiler.into_table()
 }
 

@@ -5,16 +5,15 @@
 //! seeded world that renders its report into an [`ExperimentCtx`]. The
 //! registry replaces the former 24 one-off `src/bin/*.rs` binaries; the
 //! `skyward exp` multiplexer (`list | describe | run <name>... | run
-//! --all`) is the single compiled entry point, and the golden gate,
-//! CI smoke job and `run_experiments.sh` all enumerate [`all`] instead
+//! --all`) is the single compiled entry point, and the golden harness,
+//! CI smoke step and `run_experiments.sh` all enumerate [`all`] instead
 //! of a hand-maintained binary list.
 //!
 //! Determinism contract: an experiment's rendered text is a pure
 //! function of `(scale, seed)` — byte-identical for any `--jobs` value —
 //! unless [`Experiment::deterministic`] says otherwise (host wall-clock
-//! benchmarks). The registry-driven golden gate in
-//! `tests/tests/golden.rs` enforces this at quick scale for every
-//! deterministic experiment.
+//! benchmarks). The golden harness in `crates/bench/tests/golden.rs`
+//! enforces this at quick scale for every deterministic experiment.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

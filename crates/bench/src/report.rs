@@ -3,17 +3,17 @@
 //! per-policy breakdown tables (or raw Prometheus-text / JSON
 //! exposition).
 //!
-//! Every snapshot here is a pure function of `(scale, WORLD_SEED)`:
-//! experiment cells run on the PR-1 sweep runner and their per-cell
+//! Every snapshot here is a pure function of `(scale, seed)`:
+//! experiment cells run on the sweep runner and their per-cell
 //! snapshots merge in item order, so the report is byte-identical for
-//! any `--jobs` setting. The golden harness pins both the Prometheus
-//! and the JSON exposition of the quick-scale report.
+//! any `--jobs` setting. The golden harness pins the Prometheus
+//! exposition and the rendered tables of the quick-scale report.
 
 use std::collections::BTreeMap;
 
 use crate::faults::fig_faults_with_metrics;
 use crate::sweep::Jobs;
-use crate::{profile_workload, run_daily_routing, DailyRoutingConfig, Scale, World, WORLD_SEED};
+use crate::{profile_workload, run_daily_routing, DailyRoutingConfig, Scale, World};
 use sky_core::sim::series::Table;
 use sky_core::sim::{LogHistogram, MetricsSnapshot};
 use sky_core::workloads::WorkloadKind;
@@ -21,16 +21,16 @@ use sky_core::RoutingPolicy;
 
 /// Metric snapshot of the `fig_faults` experiment (all classes, both
 /// policies), tagged `experiment="fig_faults"`.
-pub fn fig_faults_metrics(scale: Scale, jobs: Jobs) -> MetricsSnapshot {
-    fig_faults_with_metrics(scale, jobs)
+pub fn fig_faults_metrics(scale: Scale, jobs: Jobs, seed: u64) -> MetricsSnapshot {
+    fig_faults_with_metrics(scale, jobs, seed)
         .1
         .with_label("experiment", "fig_faults")
 }
 
-/// Metric snapshot of the multi-day regional-routing experiment (the
-/// `daily_routing` golden scenario), tagged `experiment="daily_routing"`.
-pub fn daily_routing_metrics(scale: Scale) -> MetricsSnapshot {
-    let mut world = World::new(WORLD_SEED);
+/// Metric snapshot of a multi-day regional-routing scenario, tagged
+/// `experiment="daily_routing"`.
+pub fn daily_routing_metrics(scale: Scale, seed: u64) -> MetricsSnapshot {
+    let mut world = World::new(seed);
     let primary = World::az("us-west-1b");
     let probe = world
         .engine
@@ -41,6 +41,7 @@ pub fn daily_routing_metrics(scale: Scale) -> MetricsSnapshot {
         probe,
         WorkloadKind::GraphBfs,
         scale.pick(300, 150),
+        seed,
     );
     let candidates = vec![primary.clone(), World::az("us-west-1a")];
     let config = DailyRoutingConfig {
@@ -61,9 +62,9 @@ pub fn daily_routing_metrics(scale: Scale) -> MetricsSnapshot {
 }
 
 /// The full report snapshot: `fig_faults` merged with `daily_routing`.
-pub fn report_snapshot(scale: Scale, jobs: Jobs) -> MetricsSnapshot {
-    let mut snap = fig_faults_metrics(scale, jobs);
-    snap.merge(&daily_routing_metrics(scale));
+pub fn report_snapshot(scale: Scale, jobs: Jobs, seed: u64) -> MetricsSnapshot {
+    let mut snap = fig_faults_metrics(scale, jobs, seed);
+    snap.merge(&daily_routing_metrics(scale, seed));
     snap
 }
 
@@ -273,18 +274,19 @@ pub fn render_report(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WORLD_SEED;
 
     #[test]
     fn report_snapshot_is_jobs_invariant() {
-        let serial = report_snapshot(Scale::Quick, Jobs::serial());
-        let parallel = report_snapshot(Scale::Quick, Jobs::new(4));
+        let serial = report_snapshot(Scale::Quick, Jobs::serial(), WORLD_SEED);
+        let parallel = report_snapshot(Scale::Quick, Jobs::new(4), WORLD_SEED);
         assert_eq!(serial.to_prometheus_text(), parallel.to_prometheus_text());
         assert_eq!(serial.to_json(), parallel.to_json());
     }
 
     #[test]
     fn report_tables_cover_experiment_zones() {
-        let snap = report_snapshot(Scale::Quick, Jobs::serial());
+        let snap = report_snapshot(Scale::Quick, Jobs::serial(), WORLD_SEED);
         let rendered = render_report(&snap);
         for az in ["us-east-2a", "us-east-2b", "us-west-1a", "us-west-1b"] {
             assert!(rendered.contains(az), "report must mention {az}");

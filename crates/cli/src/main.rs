@@ -16,8 +16,8 @@
 //!                      [--policy baseline|regional|retry-slow|focus|hybrid
 //!                       |ucb-az|thompson-az]
 //!                      [--burst N] [--seed N]
-//! skyward faults       [--jobs N] [--scale quick|full]
-//! skyward report       [--jobs N] [--scale quick|full] [--format table|prom|json]
+//! skyward report       [--jobs N] [--scale quick|full] [--seed N]
+//!                      [--format table|prom|json]
 //! skyward lint         [--root PATH] [--format human|json]
 //! ```
 //!
@@ -85,13 +85,9 @@ fn run(raw: Vec<String>) -> Result<(), String> {
             cmd_profile(&args, seed)
         }
         Some("route") => cmd_route(&args, seed),
-        Some("faults") => {
-            expect_arity(&args, 1)?;
-            cmd_faults(&args)
-        }
         Some("report") => {
             expect_arity(&args, 1)?;
-            cmd_report(&args)
+            cmd_report(&args, seed)
         }
         Some("lint") => {
             expect_arity(&args, 1)?;
@@ -136,9 +132,6 @@ fn print_help() {
          \x20              [--policy baseline|regional|retry-slow|focus|hybrid\n\
          \x20               |ucb-az|thompson-az]\n\
          \x20              [--burst N]                compare a policy against the baseline\n\
-         \x20 faults       [--jobs N] [--scale quick|full]\n\
-         \x20                                         baseline vs resilient client under\n\
-         \x20                                         each injected fault class\n\
          \x20 report       [--jobs N] [--scale quick|full] [--format table|prom|json]\n\
          \x20                                         deterministic metrics rollup of the\n\
          \x20                                         standard experiments (per-AZ and\n\
@@ -637,19 +630,11 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
     }
 }
 
-fn cmd_faults(args: &Args) -> Result<(), String> {
-    let scale = resolve_scale(args)?;
-    let jobs = resolve_jobs(args)?;
-    let rows = sky_bench::faults::fig_faults_rows(scale, jobs);
-    print!("{}", sky_bench::faults::render_fig_faults(&rows));
-    Ok(())
-}
-
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args, seed: u64) -> Result<(), String> {
     let scale = resolve_scale(args)?;
     let jobs = resolve_jobs(args)?;
     let format = args.flag("format").unwrap_or("table");
-    let snapshot = sky_bench::report::report_snapshot(scale, jobs);
+    let snapshot = sky_bench::report::report_snapshot(scale, jobs, seed);
     match format {
         "table" => print!("{}", sky_bench::report::render_report(&snapshot)),
         "prom" => print!("{}", snapshot.to_prometheus_text()),

@@ -229,11 +229,6 @@ impl FaultPlan {
             .filter(move |e| e.az == *az && e.active_at(t))
     }
 
-    /// The earliest fault start, if any.
-    pub fn first_start(&self) -> Option<SimTime> {
-        self.events.first().map(|e| e.start)
-    }
-
     /// The latest fault end, if any.
     pub fn last_end(&self) -> Option<SimTime> {
         self.events.iter().map(|e| e.end()).max()
@@ -315,7 +310,6 @@ mod tests {
             .unwrap();
         assert_eq!(plan.events().len(), 2);
         assert!(plan.events()[0].start < plan.events()[1].start);
-        assert_eq!(plan.first_start(), Some(SimTime::start_of_day(1)));
         assert_eq!(
             plan.last_end(),
             Some(SimTime::start_of_day(2) + SimDuration::from_hours(1))

@@ -56,17 +56,6 @@ impl Provider {
         }
     }
 
-    /// Minimum idle keep-alive of a function instance, in seconds. AWS
-    /// Lambda guarantees a new FI stays active at least five minutes \[21\];
-    /// observed lifetimes run longer, modelled in `sky-faas`.
-    pub fn keep_alive_min_secs(self) -> u64 {
-        match self {
-            Provider::Aws => 300,
-            Provider::Ibm => 240,
-            Provider::DigitalOcean => 180,
-        }
-    }
-
     /// Valid deployment memory check.
     pub fn supports_memory_mb(self, mb: u32) -> bool {
         match self {
@@ -108,7 +97,6 @@ mod tests {
     #[test]
     fn quotas_and_keepalive() {
         assert_eq!(Provider::Aws.default_concurrency_quota(), 1000);
-        assert_eq!(Provider::Aws.keep_alive_min_secs(), 300);
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl ExecMode {
         }
     }
 
-    /// Whether instances idle after release (everything except
-    /// ephemeral).
-    pub fn keeps_warm(self) -> bool {
-        !matches!(self, ExecMode::Ephemeral)
-    }
-
     /// Whether released instances capture a `(az, function)` snapshot
     /// that later starts can restore or branch from.
     pub fn snapshots(self) -> bool {
@@ -276,13 +270,11 @@ mod tests {
 
     #[test]
     fn mode_predicates() {
-        assert!(!ExecMode::Ephemeral.keeps_warm());
         for m in ExecMode::ALL {
             assert_eq!(
                 m.snapshots(),
                 ExecProfile::for_mode(m).snapshot_ttl > SimDuration::ZERO
             );
-            assert_eq!(m != ExecMode::Ephemeral, m.keeps_warm());
         }
     }
 

@@ -86,16 +86,6 @@ pub enum RequestBody {
     },
 }
 
-impl RequestBody {
-    /// The workload spec if the body carries one.
-    pub fn workload_spec(&self) -> Option<&WorkloadSpec> {
-        match self {
-            RequestBody::Sleep { .. } => None,
-            RequestBody::Workload { spec } | RequestBody::GatedWorkload { spec, .. } => Some(spec),
-        }
-    }
-}
-
 /// One request in a batch handed to the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchRequest {
@@ -200,23 +190,6 @@ mod tests {
             WorkloadSpec::new(WorkloadKind::Zipper).with_scale(0).scale,
             1
         );
-    }
-
-    #[test]
-    fn body_spec_accessor() {
-        let sleep = RequestBody::Sleep {
-            duration: SimDuration::from_millis(250),
-        };
-        assert!(sleep.workload_spec().is_none());
-        let spec = WorkloadSpec::new(WorkloadKind::GraphBfs);
-        let gated = RequestBody::GatedWorkload {
-            spec,
-            banned: CpuSet::from_slice(&[sky_cloud::CpuType::AmdEpyc]),
-            hold: SimDuration::from_millis(150),
-            max_retries: 5,
-            retry_latency: SimDuration::from_millis(60),
-        };
-        assert_eq!(gated.workload_spec(), Some(&spec));
     }
 
     #[test]

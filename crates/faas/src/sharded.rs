@@ -31,8 +31,8 @@
 //!   due-set.
 //!
 //! Consequently [`FleetReport::digest`] is byte-identical for any shard
-//! count; `bench_engine_fleet` and the `engine-scale` CI job assert this
-//! at shards 1, 2 and 8.
+//! count; the `bench_engine_fleet` experiment, run by the golden
+//! harness, asserts this at shards 1, 2 and 8.
 //!
 //! One approximation is inherent to window execution: a lane whose clock
 //! ran past a forward's due time delivers it at `max(due, lane now)`.

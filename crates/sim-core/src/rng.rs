@@ -177,17 +177,6 @@ impl SimRng {
         (sigma * self.next_standard_normal()).exp()
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn next_exponential(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
-
     /// Index drawn from a discrete distribution proportional to `weights`.
     ///
     /// Zero-weight entries are never selected.
@@ -355,15 +344,6 @@ mod tests {
         }
         let frac = below as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.03, "median fraction {frac}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = SimRng::seed_from(13);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| rng.next_exponential(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

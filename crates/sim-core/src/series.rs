@@ -46,15 +46,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// Smallest x at which `y <= threshold`, scanning in x order.
-    /// Used for "samples needed to reach 95 % accuracy"-type questions.
-    pub fn first_x_below(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|&&(_, y)| y <= threshold)
-            .map(|&(x, _)| x)
-    }
-
     /// Render the series as a two-column text block.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -116,22 +107,12 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a data row from anything displayable.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     pub fn title(&self) -> &str {
         &self.title
     }
 
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Render as column-aligned text.
@@ -164,16 +145,6 @@ impl Table {
     }
 }
 
-/// Format a float as a fixed-precision string (helper for table cells).
-pub fn fmt_f(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
-/// Format a fraction as a percentage string, e.g. `0.123 -> "12.3%"`.
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:.1}%", fraction * 100.0)
-}
-
 /// Format a dollar amount with four decimal places, e.g. `"$0.0123"`.
 pub fn fmt_usd(v: f64) -> String {
     format!("${v:.4}")
@@ -191,8 +162,6 @@ mod tests {
         s.push(3.0, 4.0);
         assert_eq!(s.len(), 3);
         assert_eq!(s.points()[1], (2.0, 10.0));
-        assert_eq!(s.first_x_below(5.0), Some(3.0));
-        assert_eq!(s.first_x_below(1.0), None);
     }
 
     #[test]
@@ -209,8 +178,6 @@ mod tests {
     fn table_alignment_and_rows() {
         let mut t = Table::new("T", &["a", "long-header"]);
         t.row(&["xxxx".into(), "1".into()]);
-        t.row_display(&[12345, 6]);
-        assert_eq!(t.n_rows(), 2);
         let r = t.render();
         assert!(r.contains("== T =="));
         // Each data line must be at least as wide as the header line.
@@ -227,8 +194,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_pct(0.1825), "18.2%");
         assert_eq!(fmt_usd(0.04), "$0.0400");
     }
 }

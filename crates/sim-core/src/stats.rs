@@ -131,15 +131,6 @@ impl OnlineStats {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Coefficient of variation (population); 0 if the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.population_std_dev() / self.mean().abs()
-        }
-    }
 }
 
 impl Extend<f64> for OnlineStats {
@@ -314,7 +305,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

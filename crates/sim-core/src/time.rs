@@ -81,11 +81,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -113,19 +108,6 @@ impl SimDuration {
 
     pub const fn from_days(d: u64) -> Self {
         SimDuration(d * MICROS_PER_DAY)
-    }
-
-    /// Construct from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
     }
 
     /// Construct from fractional milliseconds.
@@ -274,11 +256,6 @@ mod tests {
         );
         assert_eq!(SimTime::ZERO.saturating_since(t), SimDuration::ZERO);
         assert_eq!(
-            t.checked_since(SimTime::ZERO),
-            Some(SimDuration::from_secs(10))
-        );
-        assert_eq!(SimTime::ZERO.checked_since(t), None);
-        assert_eq!(
             t - SimDuration::from_secs(4),
             SimTime::ZERO + SimDuration::from_secs(6)
         );
@@ -294,10 +271,6 @@ mod tests {
     #[test]
     fn from_fractional() {
         assert_eq!(
-            SimDuration::from_secs_f64(0.25),
-            SimDuration::from_millis(250)
-        );
-        assert_eq!(
             SimDuration::from_millis_f64(1.5),
             SimDuration::from_micros(1500)
         );
@@ -306,7 +279,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and non-negative")]
     fn negative_duration_panics() {
-        let _ = SimDuration::from_secs_f64(-1.0);
+        let _ = SimDuration::from_millis_f64(-1.0);
     }
 
     #[test]

@@ -110,11 +110,12 @@ fn fault_sweep_is_jobs_invariant() {
     // whether the sweep runner uses 1, 2 or 8 worker threads.
     use sky_bench::faults::{fig_faults_rows, render_fig_faults};
     use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let reference = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial()));
+    let reference = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial(), WORLD_SEED));
     for jobs in [1, 2, 8] {
-        let rendered = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(jobs)));
+        let rendered =
+            render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(jobs), WORLD_SEED));
         assert_eq!(
             rendered, reference,
             "--jobs {jobs} changed the fig_faults bytes"
@@ -130,13 +131,13 @@ fn fault_metric_snapshots_are_jobs_invariant() {
     // item order and merging is order-normalized.
     use sky_bench::report::fig_faults_metrics;
     use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let reference = fig_faults_metrics(Scale::Quick, Jobs::serial());
+    let reference = fig_faults_metrics(Scale::Quick, Jobs::serial(), WORLD_SEED);
     let (ref_prom, ref_json) = (reference.to_prometheus_text(), reference.to_json());
     assert!(!reference.entries.is_empty(), "snapshot must not be empty");
     for jobs in [1, 2, 8] {
-        let snap = fig_faults_metrics(Scale::Quick, Jobs::new(jobs));
+        let snap = fig_faults_metrics(Scale::Quick, Jobs::new(jobs), WORLD_SEED);
         assert_eq!(
             snap.to_prometheus_text(),
             ref_prom,
@@ -155,10 +156,10 @@ fn daily_routing_metric_snapshot_is_reproducible() {
     // The multi-day routing experiment (no FaultPlan) must produce the
     // same metric bytes on every run from the same seed.
     use sky_bench::report::daily_routing_metrics;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let a = daily_routing_metrics(Scale::Quick);
-    let b = daily_routing_metrics(Scale::Quick);
+    let a = daily_routing_metrics(Scale::Quick, WORLD_SEED);
+    let b = daily_routing_metrics(Scale::Quick, WORLD_SEED);
     assert!(!a.entries.is_empty(), "snapshot must not be empty");
     assert_eq!(a.to_prometheus_text(), b.to_prometheus_text());
     assert_eq!(a.to_json(), b.to_json());
@@ -211,11 +212,19 @@ fn exec_mode_sweep_is_jobs_invariant() {
     // sweep runner uses 1, 2 or 8 worker threads.
     use sky_bench::exec_modes::{fig_exec_modes_rows, render_fig_exec_modes};
     use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let reference = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::serial()));
+    let reference = render_fig_exec_modes(&fig_exec_modes_rows(
+        Scale::Quick,
+        Jobs::serial(),
+        WORLD_SEED,
+    ));
     for jobs in [1, 2, 8] {
-        let rendered = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::new(jobs)));
+        let rendered = render_fig_exec_modes(&fig_exec_modes_rows(
+            Scale::Quick,
+            Jobs::new(jobs),
+            WORLD_SEED,
+        ));
         assert_eq!(
             rendered, reference,
             "--jobs {jobs} changed the fig_exec_modes bytes"
@@ -230,14 +239,18 @@ fn mode_routing_sweep_is_jobs_invariant() {
     // must all stay on per-cell RNG streams.
     use sky_bench::exec_modes::{ablation_mode_routing_rows, render_ablation_mode_routing};
     use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let reference =
-        render_ablation_mode_routing(&ablation_mode_routing_rows(Scale::Quick, Jobs::serial()));
+    let reference = render_ablation_mode_routing(&ablation_mode_routing_rows(
+        Scale::Quick,
+        Jobs::serial(),
+        WORLD_SEED,
+    ));
     for jobs in [1, 2, 8] {
         let rendered = render_ablation_mode_routing(&ablation_mode_routing_rows(
             Scale::Quick,
             Jobs::new(jobs),
+            WORLD_SEED,
         ));
         assert_eq!(
             rendered, reference,
@@ -252,17 +265,39 @@ fn exec_mode_metric_snapshots_are_jobs_invariant() {
     // export byte-identical Prometheus text at any worker count.
     use sky_bench::exec_modes::fig_exec_modes_with_metrics;
     use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
+    use sky_bench::{Scale, WORLD_SEED};
 
-    let (_, reference) = fig_exec_modes_with_metrics(Scale::Quick, Jobs::serial());
+    let (_, reference) = fig_exec_modes_with_metrics(Scale::Quick, Jobs::serial(), WORLD_SEED);
     assert!(!reference.entries.is_empty(), "snapshot must not be empty");
     let ref_prom = reference.to_prometheus_text();
     for jobs in [1, 2, 8] {
-        let (_, snap) = fig_exec_modes_with_metrics(Scale::Quick, Jobs::new(jobs));
+        let (_, snap) = fig_exec_modes_with_metrics(Scale::Quick, Jobs::new(jobs), WORLD_SEED);
         assert_eq!(
             snap.to_prometheus_text(),
             ref_prom,
             "--jobs {jobs} changed the fig_exec_modes metric bytes"
         );
     }
+}
+
+#[test]
+fn seed_reaches_every_world() {
+    // `--seed` must reach every world these experiments and the report
+    // build; each once built its worlds from the default seed.
+    use sky_bench::registry;
+    use sky_bench::report::report_snapshot;
+    use sky_bench::sweep::Jobs;
+    use sky_bench::Scale;
+
+    for name in ["fig_faults", "fig_exec_modes", "ablation_mode_routing"] {
+        let exp = registry::find(name).expect("registered");
+        let text = |seed| {
+            registry::run_experiment(exp, Scale::Quick, Jobs::new(2), seed)
+                .unwrap_or_else(|e| panic!("{name} at seed {seed} failed: {e}"))
+                .text
+        };
+        assert!(text(42) != text(43), "{name} ignores the seed");
+    }
+    let report = |seed| report_snapshot(Scale::Quick, Jobs::new(2), seed);
+    assert!(report(42) != report(43), "the report ignores the seed");
 }

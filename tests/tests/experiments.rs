@@ -1,14 +1,9 @@
 //! Registry completeness and determinism contracts for the experiment
-//! multiplexer (`skyward exp`).
-//!
-//! The registry replaced 24 one-off binaries; these tests pin the
-//! properties that made that refactor safe to keep safe:
-//!
-//! - the registry is a well-formed inventory (unique names, docs and
-//!   published artifacts for everything in it), and
-//! - a deterministic experiment's output is a pure function of
-//!   `(scale, seed)` — the `--jobs` worker count must never leak into
-//!   the bytes.
+//! multiplexer (`skyward exp`): the registry is a well-formed inventory
+//! (unique names, docs and published artifacts for everything in it), a
+//! deterministic experiment's output is a pure function of
+//! `(scale, seed)` at any `--jobs`, and a failing experiment never
+//! poisons its siblings. Sky-bench's golden harness pins the bytes.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -78,8 +73,7 @@ fn every_experiment_has_a_published_results_artifact() {
 fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
     // The multiplexer's load-bearing promise: text depends on
     // (scale, seed) only. Exercise the cheap multi-cell experiments at
-    // 1/2/8 workers; the golden gate plus the sweep determinism tests
-    // cover the rest of the set.
+    // 1/2/8 workers; the golden harness covers the rest of the set.
     for name in [
         "fig_faults",
         "ablation_staleness",
