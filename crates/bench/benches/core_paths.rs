@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sky_core::cloud::{Arch, AzId, CpuMix, CpuType, Provider};
-use sky_core::faas::{HostId, InstanceId, SaafReport};
-use sky_core::sim::{SimDuration, SimTime};
+use sky_core::faas::{HostId, SaafReport};
+use sky_core::sim::{SimDuration, SimTime, Uuid};
 use sky_core::workloads::{PerfModel, WorkloadKind};
 use sky_core::{Characterization, CharacterizationStore, RouterConfig, RuntimeTable, SmartRouter};
 use std::hint::black_box;
@@ -16,9 +16,8 @@ fn report(i: u64) -> SaafReport {
     SaafReport {
         cpu_model: cpu.model_name().into(),
         cpu_ghz: cpu.clock_ghz(),
-        instance_uuid: format!("fi-{i:032}").into(),
+        instance_uuid: Uuid::from_u128(i.into()),
         host_id: HostId::from_raw(i / 20),
-        instance_id: InstanceId::from_raw(i),
         new_container: true,
         billed: SimDuration::from_millis(250),
         memory_mb: 2048,

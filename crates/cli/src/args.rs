@@ -24,7 +24,7 @@ pub enum ArgsError {
         /// Offending raw value.
         value: String,
         /// Expected type description.
-        expected: &'static str,
+        expected: String,
     },
 }
 
@@ -98,9 +98,24 @@ impl Args {
             Some(v) => v.parse().map_err(|_| ArgsError::BadValue {
                 flag: name.to_string(),
                 value: v.clone(),
-                expected: "integer",
+                expected: "integer".to_string(),
             }),
         }
+    }
+
+    /// Count flag with default: an integer in `1..=max`. Counts size
+    /// buffers and loops, so zero and anything past `max` are rejected
+    /// before any work starts.
+    pub fn flag_count(&self, name: &str, default: u64, max: u64) -> Result<u64, ArgsError> {
+        let n = self.flag_u64(name, default)?;
+        if (1..=max).contains(&n) {
+            return Ok(n);
+        }
+        Err(ArgsError::BadValue {
+            flag: name.to_string(),
+            value: n.to_string(),
+            expected: format!("count in 1..={max}"),
+        })
     }
 
     /// Comma-separated list flag.
@@ -169,6 +184,34 @@ mod tests {
         let args = parse(&["--polls", "six"]);
         assert!(matches!(
             args.flag_u64("polls", 1),
+            Err(ArgsError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn counts_are_bounded() {
+        let args = parse(&[
+            "--polls", "3", "--runs", "0", "--burst", "100001", "--n", "x",
+        ]);
+        assert_eq!(args.flag_count("polls", 6, 1_000), Ok(3));
+        assert_eq!(args.flag_count("missing", 6, 1_000), Ok(6));
+        assert_eq!(args.flag_count("burst", 400, 100_001), Ok(100_001));
+        let err = args.flag_count("runs", 600, 100_000).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"--runs="0" is not a valid count in 1..=100000"#
+        );
+        assert!(matches!(
+            args.flag_count("burst", 400, 100_000),
+            Err(ArgsError::BadValue { .. })
+        ));
+        assert!(matches!(
+            args.flag_count("n", 1, 10),
+            Err(ArgsError::BadValue { .. })
+        ));
+        let huge = parse(&["--polls", "99999999999"]);
+        assert!(matches!(
+            huge.flag_count("polls", 6, 1_000),
             Err(ArgsError::BadValue { .. })
         ));
     }

@@ -97,6 +97,12 @@ fn run(raw: Vec<String>) -> Result<(), String> {
     }
 }
 
+/// Caps on the count flags. Each count sizes work up front, so an
+/// unbounded one aborts on allocation or runs for hours.
+const MAX_POLLS: u64 = 1_000;
+const MAX_RUNS: u64 = 100_000;
+const MAX_BURST: u64 = 100_000;
+
 /// Reject stray positional arguments (typos like `characterize us west`).
 fn expect_arity(args: &Args, n: usize) -> Result<(), String> {
     if args.n_positionals() > n {
@@ -147,7 +153,10 @@ fn print_help() {
          global flags: --seed N (default 42), --json on characterize,\n\
          \x20             --jobs N (worker threads for exp run and multi-zone\n\
          \x20             characterize; defaults to SKY_JOBS, then the machine's\n\
-         \x20             available parallelism)"
+         \x20             available parallelism)\n\
+         count flags:  --polls 1..={MAX_POLLS} (default 6), --runs 1..={MAX_RUNS}\n\
+         \x20             (default 600), --burst 1..={MAX_BURST} (default 400);\n\
+         \x20             other values exit 2"
     );
 }
 
@@ -218,7 +227,9 @@ fn cmd_characterize(args: &Args, seed: u64) -> Result<(), String> {
     if azs.is_empty() {
         return Err("characterize needs at least one <az>".into());
     }
-    let polls = args.flag_u64("polls", 6).map_err(|e| e.to_string())? as usize;
+    let polls = args
+        .flag_count("polls", 6, MAX_POLLS)
+        .map_err(|e| e.to_string())? as usize;
     let json = args.flag("json").is_some();
     let stream = args.flag("stream").is_some();
     // `Jobs::from_env` also honours `--jobs N` from argv, but routing it
@@ -435,7 +446,9 @@ fn cmd_saturate(args: &Args, seed: u64) -> Result<(), String> {
 fn cmd_profile(args: &Args, seed: u64) -> Result<(), String> {
     let kind = parse_workload(args.positional(1).ok_or("profile needs a <workload>")?)?;
     let az = parse_az(args.positional(2).ok_or("profile needs an <az>")?)?;
-    let runs = args.flag_u64("runs", 600).map_err(|e| e.to_string())? as usize;
+    let runs = args
+        .flag_count("runs", 600, MAX_RUNS)
+        .map_err(|e| e.to_string())? as usize;
     let mut engine = engine_for(seed);
     let account = engine.create_account(Provider::Aws);
     let dep = engine
@@ -699,7 +712,9 @@ fn cmd_route(args: &Args, seed: u64) -> Result<(), String> {
     if candidates.is_empty() {
         candidates.push(baseline_az.clone());
     }
-    let burst = args.flag_u64("burst", 400).map_err(|e| e.to_string())? as usize;
+    let burst = args
+        .flag_count("burst", 400, MAX_BURST)
+        .map_err(|e| e.to_string())? as usize;
     let policy_name = args.flag("policy").unwrap_or("hybrid");
     let policy = match policy_name {
         "baseline" => RoutingPolicy::Baseline {

@@ -9,10 +9,9 @@
 use serde::{Deserialize, Serialize};
 use sky_cloud::{CpuMix, CpuType};
 use sky_faas::SaafReport;
-use sky_sim::{SimDuration, SimTime};
+use sky_sim::{SimDuration, SimTime, Uuid};
 // sky-lint: allow(D001, seen_fis is membership-only - see its field pragma)
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 /// The single shared notion of "estimate age": how long ago the evidence
 /// behind an estimate was observed. Everything that reasons about
@@ -38,11 +37,12 @@ pub struct Characterization {
     /// Unrecognized CPU model strings (never produced by the simulator,
     /// but the profiler does not assume that).
     unknown: u64,
-    /// FI uuids already counted. `Arc<str>` keys share the reports'
-    /// uuid allocations instead of copying each string.
+    /// FI uuids already counted. Keeps the default, randomly keyed
+    /// hasher: a deployed profiler takes these uuids from reports it does
+    /// not control.
     #[serde(skip)]
     // sky-lint: allow(D001, membership-only dedup set on the observe hot path; never iterated - counts come from len)
-    seen_fis: HashSet<Arc<str>>,
+    seen_fis: HashSet<Uuid>,
     /// Total reports folded in (including duplicates of known FIs).
     reports: u64,
     /// Time of the first and last observation.
@@ -64,7 +64,7 @@ impl Characterization {
             self.first_at = Some(report.finished_at);
         }
         self.last_at = Some(report.finished_at);
-        if !self.seen_fis.insert(report.instance_uuid.clone()) {
+        if !self.seen_fis.insert(report.instance_uuid) {
             return false;
         }
         match report.cpu_type() {
@@ -137,16 +137,16 @@ impl Characterization {
 mod tests {
     use super::*;
     use sky_cloud::{Arch, Provider};
-    use sky_faas::{HostId, InstanceId};
+    use sky_faas::HostId;
     use sky_sim::SimDuration;
 
-    fn report(uuid: &str, cpu: CpuType, t: u64) -> SaafReport {
+    /// A report from FI number `fi`.
+    fn report(fi: u64, cpu: CpuType, t: u64) -> SaafReport {
         SaafReport {
             cpu_model: cpu.model_name().into(),
             cpu_ghz: cpu.clock_ghz(),
-            instance_uuid: uuid.into(),
+            instance_uuid: Uuid::from_u128(fi.into()),
             host_id: HostId::from_raw(0),
-            instance_id: InstanceId::from_raw(0),
             new_container: true,
             billed: SimDuration::from_millis(250),
             memory_mb: 2048,
@@ -160,12 +160,9 @@ mod tests {
     #[test]
     fn unique_fi_deduplication() {
         let mut c = Characterization::new();
-        assert!(c.observe(&report("a", CpuType::IntelXeon2_5, 1)));
-        assert!(
-            !c.observe(&report("a", CpuType::IntelXeon2_5, 2)),
-            "same FI"
-        );
-        assert!(c.observe(&report("b", CpuType::IntelXeon3_0, 3)));
+        assert!(c.observe(&report(1, CpuType::IntelXeon2_5, 1)));
+        assert!(!c.observe(&report(1, CpuType::IntelXeon2_5, 2)), "same FI");
+        assert!(c.observe(&report(2, CpuType::IntelXeon3_0, 3)));
         assert_eq!(c.unique_fis(), 2);
         assert_eq!(c.reports(), 3);
         let mix = c.to_mix();
@@ -175,10 +172,10 @@ mod tests {
     #[test]
     fn unknown_cpus_counted_but_excluded_from_mix() {
         let mut c = Characterization::new();
-        let mut r = report("x", CpuType::AmdEpyc, 1);
+        let mut r = report(1, CpuType::AmdEpyc, 1);
         r.cpu_model = "Mystery".into();
         c.observe(&r);
-        c.observe(&report("y", CpuType::AmdEpyc, 2));
+        c.observe(&report(2, CpuType::AmdEpyc, 2));
         assert_eq!(c.unknown(), 1);
         assert_eq!(c.to_mix().n_types(), 1);
     }
@@ -187,10 +184,10 @@ mod tests {
     fn ape_against_reference() {
         let mut c = Characterization::new();
         for i in 0..50 {
-            c.observe(&report(&format!("f{i}"), CpuType::IntelXeon2_5, i));
+            c.observe(&report(i, CpuType::IntelXeon2_5, i));
         }
         for i in 50..100 {
-            c.observe(&report(&format!("f{i}"), CpuType::IntelXeon3_0, i));
+            c.observe(&report(i, CpuType::IntelXeon3_0, i));
         }
         let truth =
             CpuMix::from_shares(&[(CpuType::IntelXeon2_5, 0.5), (CpuType::IntelXeon3_0, 0.5)]);
@@ -203,7 +200,7 @@ mod tests {
     fn observe_all_counts_new_fis() {
         let mut c = Characterization::new();
         let reports: Vec<SaafReport> = (0..10)
-            .map(|i| report(&format!("fi{}", i % 5), CpuType::IntelXeon2_9, i))
+            .map(|i| report(i % 5, CpuType::IntelXeon2_9, i))
             .collect();
         let new = c.observe_all(reports.iter());
         assert_eq!(new, 5);
@@ -214,8 +211,8 @@ mod tests {
     fn timestamps_track_first_and_last() {
         let mut c = Characterization::new();
         assert!(c.is_empty());
-        c.observe(&report("a", CpuType::IntelXeon2_5, 100));
-        c.observe(&report("b", CpuType::IntelXeon2_5, 50));
+        c.observe(&report(1, CpuType::IntelXeon2_5, 100));
+        c.observe(&report(2, CpuType::IntelXeon2_5, 50));
         assert_eq!(c.first_at(), Some(SimTime::from_micros(100)));
         assert_eq!(c.last_at(), Some(SimTime::from_micros(50)));
         assert!(!c.is_empty());

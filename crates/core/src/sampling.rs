@@ -343,7 +343,7 @@ impl SamplingCampaign {
             finished = finished.max(o.finished);
             match o.status.report() {
                 Some(report) => {
-                    poll_fis.insert(report.instance_uuid.clone());
+                    poll_fis.insert(report.instance_uuid);
                     if self.characterization.observe(report) {
                         new_fis += 1;
                     }

@@ -415,20 +415,20 @@ impl Characterizer for StreamingCharacterizer {
 mod tests {
     use super::*;
     use sky_cloud::{Arch, Provider};
-    use sky_faas::{HostId, InstanceId};
-    use sky_sim::SimRng;
+    use sky_faas::HostId;
+    use sky_sim::{SimRng, Uuid};
 
     fn az(s: &str) -> AzId {
         s.parse().unwrap()
     }
 
-    fn report(uuid: &str, cpu: CpuType, t: u64) -> SaafReport {
+    /// A report from FI number `fi`.
+    fn report(fi: u64, cpu: CpuType, t: u64) -> SaafReport {
         SaafReport {
             cpu_model: cpu.model_name().into(),
             cpu_ghz: cpu.clock_ghz(),
-            instance_uuid: uuid.into(),
+            instance_uuid: Uuid::from_u128(fi.into()),
             host_id: HostId::from_raw(0),
-            instance_id: InstanceId::from_raw(0),
             new_container: true,
             billed: SimDuration::from_millis(250),
             memory_mb: 2048,
@@ -470,7 +470,7 @@ mod tests {
         let mut rng = SimRng::seed_from(seed).derive("stationary-stream");
         for i in 0..n {
             let cpu = draw_cpu(&mut rng, mix);
-            chr.observe(zone, &report(&format!("fi{i}"), cpu, i + 1));
+            chr.observe(zone, &report(i, cpu, i + 1));
         }
     }
 
@@ -481,7 +481,7 @@ mod tests {
         assert_eq!(chr.label(), "static");
         assert!(chr.wants_probe(&zone, SimTime::ZERO), "unknown zone");
         // Production traffic teaches the static path nothing.
-        chr.observe(&zone, &report("a", CpuType::AmdEpyc, 5));
+        chr.observe(&zone, &report(0, CpuType::AmdEpyc, 5));
         assert!(chr.estimate(&zone).is_none());
 
         let probed = CpuMix::from_shares(&[(CpuType::IntelXeon3_0, 1.0)]);
@@ -594,7 +594,7 @@ mod tests {
                 if !seen.contains(&cpu) {
                     seen.push(cpu);
                 }
-                chr.observe(&zone, &report(&format!("fi{i}"), cpu, i + 1));
+                chr.observe(&zone, &report(i, cpu, i + 1));
                 let est = chr.estimate(&zone).expect("evidence exists");
                 let total: f64 = est.iter().map(|(_, s)| s).sum();
                 assert!((total - 1.0).abs() < 1e-9, "shares sum to 1: {total}");
@@ -623,10 +623,7 @@ mod tests {
         );
         let mut last_share = 0.0;
         for i in 0..300 {
-            chr.observe(
-                &zone,
-                &report(&format!("fi{i}"), CpuType::IntelXeon3_0, i + 1),
-            );
+            chr.observe(&zone, &report(i, CpuType::IntelXeon3_0, i + 1));
             let share = chr.estimate(&zone).unwrap().share(CpuType::IntelXeon3_0);
             assert!(
                 share >= last_share,
@@ -678,7 +675,8 @@ mod tests {
             let mut lag = None;
             for i in 0..MAX_LAG {
                 let cpu = draw_cpu(&mut rng, &after);
-                chr.observe(&zone, &report(&format!("post{i}"), cpu, 1_000 + i as u64));
+                let fi = 1_000 + u64::from(i);
+                chr.observe(&zone, &report(fi, cpu, fi));
                 if chr.detector_fired(&zone) {
                     lag = Some(i + 1);
                     break;
@@ -704,7 +702,7 @@ mod tests {
         chr.record_probe(&zone, SimTime::ZERO, &mix);
         assert_eq!(chr.probes_used(), 1);
         for i in 0..200 {
-            chr.observe(&zone, &report(&format!("fi{i}"), CpuType::AmdEpyc, i + 1));
+            chr.observe(&zone, &report(i, CpuType::AmdEpyc, i + 1));
         }
         assert!(chr.detector_fired(&zone), "full flip must fire");
         assert!(
@@ -719,18 +717,12 @@ mod tests {
         let mut chr = StreamingCharacterizer::new(StreamingConfig::default());
         let warmup = chr.config().warmup as u64;
         for i in 0..warmup {
-            chr.observe(
-                &zone,
-                &report(&format!("fi{i}"), CpuType::IntelXeon2_5, i + 1),
-            );
+            chr.observe(&zone, &report(i, CpuType::IntelXeon2_5, i + 1));
         }
         assert!(!chr.detector_fired(&zone));
         // Post-warmup flip fires without any probe ever recorded.
         for i in 0..200 {
-            chr.observe(
-                &zone,
-                &report(&format!("flip{i}"), CpuType::AmdEpyc, 500 + i),
-            );
+            chr.observe(&zone, &report(1_000 + i, CpuType::AmdEpyc, 500 + i));
         }
         assert!(chr.detector_fired(&zone));
     }

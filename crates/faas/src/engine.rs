@@ -1301,9 +1301,8 @@ impl FaasEngine {
         let report = SaafReport {
             cpu_model: cpu.model_name().into(),
             cpu_ghz: cpu.clock_ghz(),
-            instance_uuid: std::sync::Arc::clone(&inst.uuid),
+            instance_uuid: inst.uuid,
             host_id: inst.host_id,
-            instance_id,
             new_container: class.new_container(),
             billed,
             memory_mb: req.memory_mb,
@@ -1409,6 +1408,7 @@ impl FaasEngine {
 mod tests {
     use super::*;
     use crate::lifecycle::PoolPolicy;
+    use sky_sim::Uuid;
     use sky_workloads::WorkloadKind;
 
     fn engine(seed: u64) -> FaasEngine {
@@ -1476,9 +1476,9 @@ mod tests {
             assert_eq!(r.cpu_type(), Some(sky_cloud::CpuType::IntelXeon2_5));
         }
         // 50 concurrent sleeps => 50 unique FIs.
-        let mut uuids: Vec<&str> = outcomes
+        let mut uuids: Vec<Uuid> = outcomes
             .iter()
-            .map(|o| &*o.status.report().unwrap().instance_uuid)
+            .map(|o| o.status.report().unwrap().instance_uuid)
             .collect();
         uuids.sort();
         uuids.dedup();
@@ -1503,9 +1503,9 @@ mod tests {
             })
             .collect();
         let outcomes = e.run_batch(reqs);
-        let unique: std::collections::BTreeSet<&str> = outcomes
+        let unique: std::collections::BTreeSet<Uuid> = outcomes
             .iter()
-            .map(|o| &*o.status.report().unwrap().instance_uuid)
+            .map(|o| o.status.report().unwrap().instance_uuid)
             .collect();
         assert_eq!(unique.len(), 1, "all sequential requests share one warm FI");
         let colds = outcomes
@@ -1803,9 +1803,9 @@ mod tests {
                 "ephemeral never reuses: every start is cold"
             );
         }
-        let unique: std::collections::BTreeSet<&str> = outcomes
+        let unique: std::collections::BTreeSet<Uuid> = outcomes
             .iter()
-            .map(|o| &*o.status.report().unwrap().instance_uuid)
+            .map(|o| o.status.report().unwrap().instance_uuid)
             .collect();
         assert_eq!(unique.len(), 8, "a fresh FI per request");
         // The last FI's release event is still queued when the batch

@@ -11,7 +11,7 @@ use crate::ids::{DeploymentId, HostId, InstanceId};
 use crate::lifecycle::{ExecMode, ExecProfile, PoolPolicy, SnapshotId, StartClass};
 use crate::report::SaafReport;
 use sky_cloud::{Arch, AzSpec, ChurnModel, CpuMix, CpuType, DiurnalModel, FaultKind};
-use sky_sim::{SimDuration, SimRng, SimTime, Slab, SlotKey};
+use sky_sim::{SimDuration, SimRng, SimTime, Slab, SlotKey, Uuid};
 use std::collections::BTreeMap;
 
 /// A bare-metal host backing microVM function instances.
@@ -42,10 +42,9 @@ impl Host {
 pub struct Instance {
     /// Engine-visible identity.
     pub id: InstanceId,
-    /// The uuid SAAF observes (persisted in the FI's `/tmp`). Shared
-    /// (`Arc`) so reports carry a refcount bump instead of a fresh
-    /// `String` per invocation.
-    pub uuid: std::sync::Arc<str>,
+    /// The uuid SAAF observes (persisted in the FI's `/tmp`). A `Copy`
+    /// value, so each report copies it without allocating.
+    pub uuid: Uuid,
     /// Host index within the platform's host vector.
     pub host_index: usize,
     /// Host identity at placement time.

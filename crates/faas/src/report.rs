@@ -7,18 +7,17 @@
 //! observables; **everything `sky-core` knows about the hidden hardware
 //! arrives through this struct.**
 
-use crate::ids::{HostId, InstanceId};
+use crate::ids::HostId;
 use serde::{Deserialize, Serialize};
 use sky_cloud::{Arch, AzId, CpuType, Provider};
-use sky_sim::{SimDuration, SimTime};
+use sky_sim::{SimDuration, SimTime, Uuid};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Profiling data attached to a successful (or declined) invocation.
 ///
-/// Built once per invocation on the engine's hot path, so the string
-/// fields avoid per-report allocation: `cpu_model` borrows the catalog's
-/// `&'static str` model name and `instance_uuid` shares the FI's `Arc`.
+/// Built once per invocation on the engine's hot path, so building one
+/// allocates nothing: `cpu_model` borrows the catalog's `&'static str`
+/// model name and `instance_uuid` is a `Copy` value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaafReport {
     /// `/proc/cpuinfo` model-name string observed inside the FI.
@@ -27,11 +26,9 @@ pub struct SaafReport {
     pub cpu_ghz: f64,
     /// Unique identity of the function instance (persisted in the FI's
     /// `/tmp` across warm invocations, exactly how SAAF counts FIs).
-    pub instance_uuid: Arc<str>,
+    pub instance_uuid: Uuid,
     /// Host identity (boot id); multiple FIs can share a host.
     pub host_id: HostId,
-    /// Engine-internal instance id (stable alias of `instance_uuid`).
-    pub instance_id: InstanceId,
     /// Whether this invocation cold-started a fresh FI.
     pub new_container: bool,
     /// Billed execution duration.
@@ -66,9 +63,8 @@ mod tests {
         SaafReport {
             cpu_model: cpu.model_name().into(),
             cpu_ghz: cpu.clock_ghz(),
-            instance_uuid: "0000-x".into(),
+            instance_uuid: Uuid::from_u128(0x0123_4567_89ab_cdef_0011_2233_4455_6677),
             host_id: HostId::from_raw(1),
-            instance_id: InstanceId::from_raw(2),
             new_container: true,
             billed: SimDuration::from_millis(250),
             memory_mb: 2048,
@@ -97,7 +93,14 @@ mod tests {
     fn serde_roundtrip() {
         let r = report(CpuType::IntelXeon3_0);
         let json = serde_json::to_string(&r).unwrap();
+        assert!(
+            json.contains(r#""instance_uuid":"01234567-89ab-cdef-0011-223344556677","#),
+            "{json}"
+        );
         let back: SaafReport = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
+        let upper = json.replace("89ab-cdef", "89AB-CDEF");
+        assert_ne!(upper, json);
+        assert!(serde_json::from_str::<SaafReport>(&upper).is_err());
     }
 }

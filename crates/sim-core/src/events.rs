@@ -125,13 +125,6 @@ impl<E> EventQueue<E> {
         q
     }
 
-    /// Pre-allocate room in the open slot. Kept for API compatibility with
-    /// the binary-heap queue; the wheel allocates per slot, so this only
-    /// sizes the merge buffer a burst of same-instant events lands in.
-    pub fn reserve(&mut self, additional: usize) {
-        self.current.reserve(additional.min(1 << 16));
-    }
-
     /// Schedule `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;

@@ -16,6 +16,8 @@
 //! * [`rng::SimRng`] — a from-scratch SplitMix64/xoshiro256++ PRNG with
 //!   hierarchical stream derivation so every component of a simulation gets
 //!   an independent, reproducible stream from one root seed.
+//! * [`Uuid`] — the `Copy` 128-bit function-instance identity SAAF
+//!   reports, drawn from a [`SimRng`] and rendered as a uuid string.
 //! * [`stats`] — online statistics (Welford), histograms, percentiles and
 //!   exponentially-weighted averages used by the measurement harnesses.
 //! * [`series`] — labelled (x, y) series and plain-text table rendering used
@@ -48,6 +50,7 @@ pub mod series;
 pub mod slab;
 pub mod stats;
 pub mod time;
+pub mod uuid;
 
 pub use events::{BinaryHeapQueue, EventQueue};
 pub use metrics::{
@@ -58,3 +61,4 @@ pub use series::{Series, Table};
 pub use slab::{Slab, SlotKey};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
+pub use uuid::Uuid;

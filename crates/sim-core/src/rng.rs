@@ -12,8 +12,8 @@
 //! normals (Box–Muller), lognormals for runtime noise, exponentials for
 //! arrival jitter, and weighted choice for CPU-mix sampling.
 
+use crate::Uuid;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// SplitMix64 step; used for seeding and stream derivation.
 #[inline]
@@ -221,32 +221,13 @@ impl SimRng {
         }
     }
 
-    /// A fresh 128-bit identifier rendered as a hex UUID-ish string, used
-    /// for function-instance identities in SAAF reports.
-    ///
-    /// The two draws render as 32 lowercase hex digits (first draw high)
-    /// grouped 8-4-4-4-12, straight into the shared string: one allocation.
-    pub fn next_uuid(&mut self) -> Arc<str> {
+    /// A fresh function-instance identity: two draws, the first one the
+    /// high half.
+    pub fn next_uuid(&mut self) -> Uuid {
         let a = self.next_u64();
         let b = self.next_u64();
-        render_uuid(a, b)
+        Uuid::from_u128((u128::from(a) << 64) | u128::from(b))
     }
-}
-
-/// `a` then `b` as 32 hex digits in 8-4-4-4-12 groups.
-fn render_uuid(a: u64, b: u64) -> Arc<str> {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let digits = (u128::from(a) << 64) | u128::from(b);
-    let mut buf = [b'-'; 36];
-    let mut shift = 128;
-    for (i, byte) in buf.iter_mut().enumerate() {
-        if matches!(i, 8 | 13 | 18 | 23) {
-            continue;
-        }
-        shift -= 4;
-        *byte = HEX[(digits >> shift) as usize & 0xf];
-    }
-    Arc::from(std::str::from_utf8(&buf).expect("hex digits and dashes are ASCII"))
 }
 
 #[cfg(test)]
@@ -380,6 +361,13 @@ mod tests {
         );
     }
 
+    /// `(a, b)` as the value `next_uuid` builds from those two draws.
+    fn uuid(a: u64, b: u64) -> Uuid {
+        Uuid::from_u128((u128::from(a) << 64) | u128::from(b))
+    }
+
+    const EDGES: [u64; 8] = [0, 1, 0xf, 0x10, 0xffff, 1 << 48, u64::MAX - 1, u64::MAX];
+
     #[test]
     fn uuid_format() {
         let mut rng = SimRng::seed_from(16);
@@ -391,7 +379,7 @@ mod tests {
             "10d179b8-2fbc-4d02-d005-69328581602a",
             "fbd07693-6684-9aba-4fa2-f51674fa8b69",
         ] {
-            assert_eq!(&*rng.next_uuid(), expected);
+            assert_eq!(rng.next_uuid().to_string(), expected);
         }
         let reference = |a: u64, b: u64| {
             format!(
@@ -403,15 +391,38 @@ mod tests {
                 b & 0xffff_ffff_ffff
             )
         };
-        let edges = [0, 1, 0xf, 0x10, 0xffff, 1 << 48, u64::MAX - 1, u64::MAX];
-        for a in edges {
-            for b in edges {
-                assert_eq!(&*render_uuid(a, b), reference(a, b), "({a:#x}, {b:#x})");
+        for a in EDGES {
+            for b in EDGES {
+                assert_eq!(uuid(a, b).to_string(), reference(a, b), "({a:#x}, {b:#x})");
             }
         }
         for _ in 0..1_000 {
             let (a, b) = (rng.next_u64(), rng.next_u64());
-            assert_eq!(&*render_uuid(a, b), reference(a, b));
+            assert_eq!(uuid(a, b).to_string(), reference(a, b));
+        }
+    }
+
+    /// Sorting or deduplicating uuids by value visits them in the order
+    /// of their rendered strings.
+    #[test]
+    fn uuid_order_matches_rendered_order() {
+        let edges: Vec<Uuid> = EDGES
+            .iter()
+            .flat_map(|&a| EDGES.iter().map(move |&b| uuid(a, b)))
+            .collect();
+        for x in &edges {
+            for y in &edges {
+                assert_eq!(x.cmp(y), x.to_string().cmp(&y.to_string()), "{x} vs {y}");
+            }
+        }
+        let mut rng = SimRng::seed_from(17);
+        for i in 0..1_000 {
+            // Every other pair shares its high half, so the low halves
+            // decide.
+            let a = rng.next_u64();
+            let x = uuid(a, rng.next_u64());
+            let y = uuid(if i % 2 == 0 { a } else { rng.next_u64() }, rng.next_u64());
+            assert_eq!(x.cmp(&y), x.to_string().cmp(&y.to_string()), "{x} vs {y}");
         }
     }
 }
