@@ -608,31 +608,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn fig_rows_are_jobs_invariant() {
-        let serial = render_fig_exec_modes(&fig_exec_modes_rows(
-            Scale::Quick,
-            Jobs::serial(),
-            WORLD_SEED,
-        ));
-        let parallel =
-            render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::new(4), WORLD_SEED));
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn ablation_rows_are_jobs_invariant() {
-        let serial = render_ablation_mode_routing(&ablation_mode_routing_rows(
-            Scale::Quick,
-            Jobs::serial(),
-            WORLD_SEED,
-        ));
-        let parallel = render_ablation_mode_routing(&ablation_mode_routing_rows(
-            Scale::Quick,
-            Jobs::new(4),
-            WORLD_SEED,
-        ));
-        assert_eq!(serial, parallel);
-    }
 }

@@ -142,9 +142,9 @@ fn print_help() {
          \x20                                         deterministic metrics rollup of the\n\
          \x20                                         standard experiments (per-AZ and\n\
          \x20                                         per-policy breakdowns)\n\
-         \x20 lint         [--root PATH] [--format human|json] [--jobs N]\n\
-         \x20                                         determinism static + semantic\n\
-         \x20                                         analysis (rules D001-D011; exits 1\n\
+         \x20 lint         [--root PATH] [--format human|json]\n\
+         \x20                                         determinism lint, one parse per\n\
+         \x20                                         file (rules D001-D011; exits 1\n\
          \x20                                         on findings)\n\
          \x20 lint --fix-pragmas [--write]            delete unused sky-lint pragmas\n\
          \x20                                         (P002); prints a diff, applies\n\
@@ -657,8 +657,8 @@ fn cmd_report(args: &Args, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// `skyward lint` — the determinism static-analysis pass, same engine
-/// as the standalone `sky-lint` binary. Exits 1 when findings exist so
+/// `skyward lint` — the determinism static-analysis pass (`sky_lint`),
+/// run serially over the workspace. Exits 1 when findings exist so
 /// scripts and CI can gate on it. `--fix-pragmas` switches to the
 /// stale-pragma cleanup mode: print the planned edits as a diff, apply
 /// them only under `--write`.
@@ -689,8 +689,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let jobs = args.flag_u64("jobs", 1).map_err(|e| e.to_string())?.max(1) as usize;
-    let findings = sky_lint::lint_workspace_with_jobs(&root, jobs).map_err(|e| e.to_string())?;
+    let findings = sky_lint::lint_workspace(&root).map_err(|e| e.to_string())?;
     match format {
         "json" => print!("{}", sky_lint::render_json(&findings)),
         _ => print!("{}", sky_lint::render_human(&findings)),

@@ -22,7 +22,9 @@ use crate::model::{CallSite, FnModel, WorkspaceModel};
 pub type FnId = (usize, usize);
 
 /// The crate grouping key for a path: the crate name under `crates/`,
-/// otherwise the first path segment (`tests`, `xtask`, …).
+/// otherwise the first path segment (`tests`, `xtask`, …). Call
+/// resolution groups by it, and every rule's scope
+/// (`rules::scope_of`) is derived from it.
 pub fn crate_key(path: &str) -> &str {
     path.strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())

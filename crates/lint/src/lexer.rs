@@ -12,6 +12,10 @@
 //! escapes, raw strings `r#"…"#` at any hash depth, byte and raw-byte
 //! strings, char literals vs. lifetimes, raw identifiers `r#type`,
 //! numeric literals (including `0..n` ranges and float exponents).
+//!
+//! The token accessors every later layer reads the stream through —
+//! `ident`, `punct`, `str_lit`, `find_matching` (bracket matching) and
+//! `is_arrow_gt` (`->` detection) — live here, once.
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +41,7 @@ pub struct Token {
     pub tok: Tok,
     /// 1-based source line.
     pub line: u32,
-    /// 1-based source column.
+    /// 1-based source byte column.
     pub col: u32,
 }
 
@@ -48,6 +52,8 @@ pub struct LineComment {
     pub text: String,
     /// 1-based source line.
     pub line: u32,
+    /// 1-based byte column of the leading `//`.
+    pub col: u32,
     /// Whether the comment is the first non-whitespace on its line
     /// (standalone pragmas also cover the following line).
     pub standalone: bool,
@@ -137,6 +143,7 @@ pub fn lex(src: &str) -> Lexed {
                 out.comments.push(LineComment {
                     text,
                     line,
+                    col,
                     standalone: !line_had_token,
                 });
             }
@@ -372,6 +379,77 @@ fn lex_number(c: &mut Cursor<'_>) {
     }
 }
 
+/// The identifier at `toks[i]`, if there is one.
+pub(crate) fn ident(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// The punctuation character at `toks[i]`, if there is one.
+pub(crate) fn punct(toks: &[Token], i: usize) -> Option<char> {
+    match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Punct(c)) => Some(*c),
+        _ => None,
+    }
+}
+
+/// The string-literal contents at `toks[i]`, if there is one.
+pub(crate) fn str_lit(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Str(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// Whether the `>` at index `i` is the second half of a `->` arrow
+/// (adjacent `-` on the same line), so angle-depth tracking skips it.
+pub(crate) fn is_arrow_gt(toks: &[Token], i: usize) -> bool {
+    i > 0
+        && punct(toks, i) == Some('>')
+        && punct(toks, i - 1) == Some('-')
+        && toks[i - 1].line == toks[i].line
+        && toks[i - 1].col + 1 == toks[i].col
+}
+
+/// Index of the bracket matching the one at `i`: searching forward from
+/// `(`/`[`/`{`, backward from `)`/`]`/`}`. Returns `i` when `toks[i]` is
+/// not a bracket and `toks.len()` when it is unbalanced.
+pub(crate) fn find_matching(toks: &[Token], i: usize) -> usize {
+    let Some(here) = punct(toks, i) else {
+        return i;
+    };
+    let (there, forward) = match here {
+        '(' => (')', true),
+        '[' => (']', true),
+        '{' => ('}', true),
+        ')' => ('(', false),
+        ']' => ('[', false),
+        '}' => ('{', false),
+        _ => return i,
+    };
+    let mut depth = 0i32;
+    let mut j = i;
+    loop {
+        match punct(toks, j) {
+            Some(c) if c == here => depth += 1,
+            Some(c) if c == there => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+        j = match (forward, j.checked_sub(1)) {
+            (true, _) if j + 1 < toks.len() => j + 1,
+            (false, Some(prev)) => prev,
+            _ => return toks.len(),
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +504,7 @@ mod tests {
         let out = lex("let x = 1; // sky-lint: allow(D001, because)\n// standalone\n");
         assert_eq!(out.comments.len(), 2);
         assert_eq!(out.comments[0].line, 1);
+        assert_eq!((out.comments[0].col, out.comments[1].col), (12, 1));
         assert!(!out.comments[0].standalone);
         assert!(out.comments[1].standalone);
         assert!(out.comments[0].text.contains("sky-lint"));
@@ -450,5 +529,21 @@ mod tests {
         let toks = lex("let x = 1.5e-9; done").tokens;
         assert!(toks.iter().any(|t| t.tok == Tok::Ident("done".into())));
         assert!(!toks.iter().any(|t| t.tok == Tok::Punct('-')));
+    }
+
+    #[test]
+    fn brackets_match_in_both_directions() {
+        // f ( a [ 0 ] , { } )  ;
+        // 0 1 2 3 4 5 6 7 8 9 10
+        let toks = lex("f(a[0], {}) ;").tokens;
+        assert_eq!(find_matching(&toks, 1), 9);
+        assert_eq!(find_matching(&toks, 9), 1);
+        assert_eq!(find_matching(&toks, 5), 3);
+        assert_eq!(find_matching(&toks, 7), 8);
+        assert_eq!(find_matching(&toks, 0), 0, "not a bracket");
+        let open = lex("f(a[0]").tokens;
+        assert_eq!(find_matching(&open, 1), open.len(), "unclosed");
+        let close = lex("a) b").tokens;
+        assert_eq!(find_matching(&close, 1), close.len(), "unopened");
     }
 }

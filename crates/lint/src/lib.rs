@@ -7,28 +7,34 @@
 //! wall-clock read, an ambient RNG, an aliased stream label or an
 //! unsorted exporter ever reaches a golden.
 //!
-//! Two analysis layers share one pipeline:
+//! One pass parses each file once:
 //!
-//! * **token rules** (D001–D007, [`rules`]) — per-file, resolvable on
-//!   the raw token stream;
-//! * **semantic rules** (D008–D011, [`semantic`]) — interprocedural,
-//!   run over a [`model::WorkspaceModel`] built by a lightweight
-//!   item-level parser ([`parser`]) with an intra-crate call graph
-//!   ([`graph`]).
+//! ```text
+//! lexer ──► parser ──► model ──► rules     (D001–D007, per file)
+//!                        │
+//!                        └─────► graph ──► semantic  (D008–D011, workspace)
+//! ```
 //!
-//! Three entry points ship the same pass:
+//! * [`lexer`] — tokens, line comments, and the token accessors every
+//!   later layer reads through;
+//! * [`parser`] — items: fns, structs, statics, macro uses;
+//! * [`model`] — per-function facts (derive sites, call sites, metric
+//!   and span sites, rebinds) in a path-sorted
+//!   [`model::WorkspaceModel`];
+//! * [`rules`] — the per-file rules, over tokens, fn facts or struct
+//!   items;
+//! * [`semantic`] — the interprocedural rules, over the workspace model
+//!   and its crate-local call graph ([`graph`]).
 //!
-//! * the `sky-lint` binary (`--format human|json`, `--jobs N`, stable
-//!   sorted output, exit 1 on findings) — the CI gate;
-//! * the `skyward lint` CLI subcommand (plus `--fix-pragmas`);
-//! * this library API ([`lint_source`], [`lint_workspace`],
-//!   [`lint_workspace_with_jobs`]) — what the fixture golden tests
-//!   drive.
+//! `skyward lint` is the command-line entry point (`--format
+//! human|json`, exit 1 on findings, plus `--fix-pragmas`); it and the
+//! fixture golden tests drive this library API ([`lint_source`],
+//! [`lint_workspace`]).
 //!
 //! Rules are documented on [`rules`] and [`semantic`]; suppression
 //! syntax on [`pragma`]. Output is sorted by `(path, line, col, rule)`
-//! and the per-file phase is order-independent, so reports are
-//! byte-identical across file discovery order *and* `--jobs`.
+//! and the model is sorted by path, so reports are byte-identical
+//! across file discovery order.
 
 pub mod graph;
 pub mod lexer;
@@ -96,26 +102,24 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// One file after the per-file (parallelizable) phase: raw token
-/// findings, parsed pragmas, and the extracted semantic model.
+/// One file after the per-file phase: raw per-file findings, parsed
+/// pragmas, and the extracted model.
 struct Prepped {
-    path: String,
     pragmas: Vec<Pragma>,
     pragma_errors: Vec<PragmaError>,
     raw: Vec<Finding>,
     model: FileModel,
 }
 
-/// The per-file phase: lex, token rules, parse, fact extraction. Pure
-/// per file — safe to run files in any order or in parallel.
+/// The per-file phase: lex, parse, extract facts, run the per-file
+/// rules. Pure per file, so file order does not matter.
 fn prepare(rel_path: &str, source: &str) -> Prepped {
     let lexed = lexer::lex(source);
     let (pragmas, pragma_errors) = pragma::parse_pragmas(&lexed.comments);
-    let raw = rules::token_findings(rel_path, &lexed);
     let ast = parser::parse_file(&lexed);
     let model = model::extract_file(rel_path, &lexed, &ast);
+    let raw = rules::file_findings(&lexed.tokens, &model);
     Prepped {
-        path: rel_path.to_string(),
         pragmas,
         pragma_errors,
         raw,
@@ -123,10 +127,9 @@ fn prepare(rel_path: &str, source: &str) -> Prepped {
     }
 }
 
-/// The serial phase: assemble the workspace model, run the semantic
+/// The workspace phase: assemble the workspace model, run the semantic
 /// rules, then apply pragma suppression and hygiene per file.
 fn finish(mut files: Vec<Prepped>) -> Vec<Finding> {
-    files.sort_by(|a, b| a.path.cmp(&b.path));
     let ws = WorkspaceModel::from_files(files.iter().map(|p| p.model.clone()).collect());
     let mut semantic = semantic::semantic_findings(&ws);
 
@@ -135,7 +138,7 @@ fn finish(mut files: Vec<Prepped>) -> Vec<Finding> {
         let mut raw = std::mem::take(&mut p.raw);
         raw.extend(
             semantic
-                .extract_if(.., |f| f.path == p.path)
+                .extract_if(.., |f| f.path == p.model.path)
                 .collect::<Vec<_>>(),
         );
         findings.extend(
@@ -144,7 +147,7 @@ fn finish(mut files: Vec<Prepped>) -> Vec<Finding> {
         );
         for e in &p.pragma_errors {
             findings.push(Finding {
-                path: p.path.clone(),
+                path: p.model.path.clone(),
                 line: e.line(),
                 col: 1,
                 rule: "P001",
@@ -156,9 +159,9 @@ fn finish(mut files: Vec<Prepped>) -> Vec<Finding> {
         for pr in &p.pragmas {
             if !pr.used {
                 findings.push(Finding {
-                    path: p.path.clone(),
+                    path: p.model.path.clone(),
                     line: pr.line,
-                    col: 1,
+                    col: pr.col,
                     rule: "P002",
                     message: format!(
                         "unused sky-lint pragma: allow({}) suppresses nothing on its line",
@@ -174,11 +177,11 @@ fn finish(mut files: Vec<Prepped>) -> Vec<Finding> {
     findings
 }
 
-/// Lint one file's source through the full pipeline (token + semantic
-/// rules + pragmas). `rel_path` must be workspace-relative with `/`
-/// separators — it selects which rules apply. Interprocedural effects
-/// are naturally limited to this one file; cross-file analysis needs
-/// [`lint_workspace`].
+/// Lint one file's source through the full pipeline (per-file and
+/// semantic rules, pragmas). `rel_path` must be workspace-relative with
+/// `/` separators — it selects which rules apply. Interprocedural
+/// effects are naturally limited to this one file; cross-file analysis
+/// needs [`lint_workspace`].
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     finish(vec![prepare(rel_path, source)])
 }
@@ -186,38 +189,10 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 /// Lint every `.rs` file under `root`. Findings come back sorted by
 /// `(path, line, col, rule)` — stable across discovery order.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_workspace_with_jobs(root, 1)
-}
-
-/// [`lint_workspace`] with the per-file phase fanned out over `jobs`
-/// threads. The file list is split into contiguous chunks, each worker
-/// fills its own pre-allocated slot, and chunks are merged in file
-/// order — so the output is byte-identical to `jobs = 1`.
-pub fn lint_workspace_with_jobs(root: &Path, jobs: usize) -> io::Result<Vec<Finding>> {
-    let files = collect_workspace_files(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for rel in &files {
-        sources.push((rel.as_str(), fs::read_to_string(root.join(rel))?));
+    let mut prepped = Vec::new();
+    for rel in collect_workspace_files(root)? {
+        prepped.push(prepare(&rel, &fs::read_to_string(root.join(&rel))?));
     }
-    let jobs = jobs.clamp(1, sources.len().max(1));
-    let prepped: Vec<Prepped> = if jobs <= 1 {
-        sources.iter().map(|(p, s)| prepare(p, s)).collect()
-    } else {
-        let chunk = sources.len().div_ceil(jobs);
-        let mut slots: Vec<Vec<Prepped>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || part.iter().map(|(p, s)| prepare(p, s)).collect()))
-                .collect();
-            // Join in spawn (= file) order: the merge is deterministic
-            // whatever order the workers finish in.
-            for h in handles {
-                slots.push(h.join().unwrap_or_default());
-            }
-        });
-        slots.into_iter().flatten().collect()
-    };
     Ok(finish(prepped))
 }
 
@@ -270,9 +245,12 @@ pub fn plan_pragma_fixes(root: &Path) -> io::Result<Vec<PragmaFix>> {
         let Some(content) = source.lines().nth(f.line as usize - 1) else {
             continue;
         };
-        let Some(at) = content.find("//") else {
+        // Cut at the pragma comment itself: an earlier `//` may sit in a
+        // string literal. A line that moved since linting is skipped.
+        let at = f.col as usize - 1;
+        if !content.get(at..).is_some_and(|rest| rest.starts_with("//")) {
             continue;
-        };
+        }
         let before = &content[..at];
         let new = if before.trim().is_empty() {
             None
@@ -497,5 +475,32 @@ mod tests {
         assert!(diff.contains("+let x = 1;"));
         assert!(diff.contains("2 unused pragmas"));
         assert!(render_pragma_fixes(&[]).contains("no unused pragmas"));
+    }
+
+    /// A trailing pragma is cut at its own comment, not at an earlier
+    /// `//` inside a string literal on the same line.
+    #[test]
+    fn pragma_fix_cuts_at_the_comment_not_inside_a_string() {
+        let root = std::env::temp_dir().join(format!("sky-lint-fix-{}", std::process::id()));
+        let file = root.join("crates/faas/src/a.rs");
+        fs::create_dir_all(file.parent().unwrap()).unwrap();
+        fs::write(
+            &file,
+            "fn f() {\n\
+             \x20   let u = \"https://example.com\"; // sky-lint: allow(D003, stale)\n\
+             \x20   // sky-lint: allow(D001, stale too)\n\
+             }\n",
+        )
+        .unwrap();
+        let fixes = plan_pragma_fixes(&root).unwrap();
+        apply_pragma_fixes(&root, &fixes).unwrap();
+        let after = fs::read_to_string(&file).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        let planned: Vec<Option<&str>> = fixes.iter().map(|f| f.new.as_deref()).collect();
+        assert_eq!(
+            planned,
+            [Some("    let u = \"https://example.com\";"), None]
+        );
+        assert_eq!(after, "fn f() {\n    let u = \"https://example.com\";\n}\n");
     }
 }

@@ -1,15 +1,17 @@
 //! The [`WorkspaceModel`]: per-function *facts* extracted from parsed
-//! files, the substrate the interprocedural rules (D008–D011) run on.
+//! files, the substrate the per-file rules D004/D006/D007 and the
+//! interprocedural rules (D008–D011) run on.
 //!
 //! Facts are extracted once per file — derive sites with their receiver
 //! roots and loop context, call sites with argument roots, metric
 //! registration/touch sites, span open/close sites, rebindings — and
-//! the token stream is then dropped. Everything downstream (the call
-//! graph, the semantic rules) works on this compact model, which keeps
-//! whole-workspace analysis cheap and, because the model is sorted by
-//! path at construction, byte-stable across file discovery order.
+//! the token stream is dropped once the per-file rules have run.
+//! Everything downstream (the call graph, the semantic rules) works on
+//! this compact model, which keeps whole-workspace analysis cheap and,
+//! because the model is sorted by path at construction, byte-stable
+//! across file discovery order.
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::lexer::{find_matching, ident, punct, str_lit, Lexed, Tok, Token};
 use crate::parser::{FileAst, FnItem, MacroUse, StaticItem, StructItem};
 
 /// The whole-workspace model: one [`FileModel`] per file, sorted by
@@ -33,7 +35,7 @@ impl WorkspaceModel {
 pub struct FileModel {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Struct definitions (for D011 reachability).
+    /// Struct definitions (D006 snapshot types, D011 reachability).
     pub structs: Vec<StructItem>,
     /// `static` items (for D011).
     pub statics: Vec<StaticItem>,
@@ -193,27 +195,6 @@ const METRIC_TOUCH_METHODS: [(&str, &str); 4] = [
     ("observe_duration", "histogram"),
 ];
 
-fn punct(toks: &[Token], i: usize) -> Option<char> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
-fn ident(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn str_lit(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Extract one file's model from its lexed tokens and parsed AST.
 pub fn extract_file(path: &str, lexed: &Lexed, ast: &FileAst) -> FileModel {
     let toks = &lexed.tokens;
@@ -326,25 +307,6 @@ fn split_args(toks: &[Token], open: usize, close: usize) -> Vec<(usize, usize)> 
     out
 }
 
-fn find_close_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        match punct(toks, j) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
 const CALL_KEYWORDS: [&str; 10] = [
     "if", "for", "while", "match", "return", "loop", "fn", "struct", "Some", "Ok",
 ];
@@ -368,7 +330,7 @@ fn loop_ranges(
             let mut j = i + 1;
             while j < end {
                 match punct(toks, j) {
-                    Some('(') | Some('[') => j = find_matching_any(toks, j),
+                    Some('(') | Some('[') => j = find_matching(toks, j),
                     Some('{') => break,
                     Some(';') => break, // not a loop header after all
                     _ => {}
@@ -376,38 +338,13 @@ fn loop_ranges(
                 j += 1;
             }
             if punct(toks, j) == Some('{') {
-                let close = find_matching_any(toks, j);
+                let close = find_matching(toks, j);
                 out.push((i, j, close));
             }
         }
         i += 1;
     }
     out
-}
-
-fn find_matching_any(toks: &[Token], i: usize) -> usize {
-    let (open, close) = match punct(toks, i) {
-        Some('(') => ('(', ')'),
-        Some('[') => ('[', ']'),
-        Some('{') => ('{', '}'),
-        _ => return i,
-    };
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < toks.len() {
-        match punct(toks, j) {
-            Some(c) if c == open => depth += 1,
-            Some(c) if c == close => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Whether the token sequence for `chain` (idents joined by `.`) occurs
@@ -502,7 +439,7 @@ fn extract_facts(toks: &[Token], start: usize, end: usize, bodies: &[(usize, usi
                 });
             }
             if let Some(&(_, kind)) = METRIC_TOUCH_METHODS.iter().find(|(m, _)| m == name) {
-                let close = find_close_paren(toks, i + 1);
+                let close = find_matching(toks, i + 1);
                 if let Some(&(a, b)) = split_args(toks, i + 1, close).first() {
                     if let Some(chain) = arg_root(&toks[a..b]) {
                         let target = chain.rsplit('.').next().unwrap_or(&chain).to_string();
@@ -544,7 +481,7 @@ fn extract_facts(toks: &[Token], start: usize, end: usize, bodies: &[(usize, usi
                 } else {
                     None
                 };
-                let close = find_close_paren(toks, i + 1);
+                let close = find_matching(toks, i + 1);
                 let args = split_args(toks, i + 1, close)
                     .into_iter()
                     .map(|(a, b)| arg_root(&toks[a..b]))
@@ -621,7 +558,7 @@ fn receiver_only_derives(toks: &[Token], kw: usize, close: usize, chain: &str) -
 /// The two leading string-literal identity args of a metric call, if
 /// present (each optionally `&`-prefixed).
 fn identity_literals(toks: &[Token], open: usize) -> Option<(String, String)> {
-    let close = find_close_paren(toks, open);
+    let close = find_matching(toks, open);
     let args = split_args(toks, open, close);
     if args.len() < 2 {
         return None;

@@ -1,15 +1,16 @@
 //! An item-level Rust parser on top of [`crate::lexer`]: exactly the
-//! structure the workspace semantic rules (D008–D011) need, and nothing
-//! more.
+//! structure the rules that read more than single tokens (D004, D006–
+//! D011) need, and nothing more.
 //!
 //! The parser extracts *items* — functions (with parameter lists and
 //! body token ranges), impl blocks (to qualify methods by their type),
-//! structs (with field names and type token text), statics, and macro
-//! invocations — from the flat token stream. It is deliberately
-//! approximate where Rust's grammar is deep (pattern parameters, const
-//! generics in return types) and deliberately exact where the rules
-//! depend on it (body brace matching, `impl Trait for Type` naming,
-//! field type text).
+//! structs (with visibility, derive idents, and per-field visibility,
+//! type text and token span), statics, and macro invocations — from the
+//! flat token stream. It is deliberately approximate where Rust's
+//! grammar is deep (pattern parameters, const generics in return types)
+//! and deliberately exact where the rules depend on it (body brace
+//! matching, `impl Trait for Type` naming, struct attributes and field
+//! boundaries).
 //!
 //! Two hard guarantees, both enforced by `tests/model.rs`:
 //!
@@ -21,9 +22,9 @@
 //!   [`crate::model::WorkspaceModel`] built on top is byte-stable
 //!   across file discovery order.
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::lexer::{find_matching, ident, is_arrow_gt, punct, Lexed, Tok, Token};
 
-/// One parsed file: every item the semantic rules care about.
+/// One parsed file: every item the rules care about.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileAst {
     /// Function items (free fns, methods, nested fns), in source order.
@@ -71,6 +72,12 @@ pub struct StructItem {
     pub name: String,
     /// 1-based line of the name.
     pub line: u32,
+    /// Declared plain `pub` (not `pub(…)`, not private).
+    pub public: bool,
+    /// Every ident inside the struct's `#[derive(…)]` attributes, in
+    /// source order (path segments included: `serde::Serialize` gives
+    /// `serde`, `Serialize`).
+    pub derives: Vec<String>,
     /// Named fields in order (tuple/unit structs parse as empty).
     pub fields: Vec<FieldItem>,
 }
@@ -84,8 +91,13 @@ pub struct FieldItem {
     pub line: u32,
     /// 1-based column of the field name.
     pub col: u32,
+    /// Declared plain `pub` (not `pub(…)`, not private).
+    pub public: bool,
     /// Space-joined type token text (e.g. `Arc < Mutex < Vec < u64 > > >`).
     pub ty: String,
+    /// Token index range `[start, end)` of the whole field, its
+    /// attributes included.
+    pub span: (usize, usize),
 }
 
 /// A `static` item.
@@ -135,30 +147,6 @@ pub fn type_text(toks: &[Token]) -> String {
     out
 }
 
-fn ident(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct(toks: &[Token], i: usize) -> Option<char> {
-    match toks.get(i).map(|t| &t.tok) {
-        Some(Tok::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
-/// Whether the `>` at index `i` is the second half of a `->` arrow
-/// (adjacent `-` on the same line), so angle-depth tracking skips it.
-fn is_arrow_gt(toks: &[Token], i: usize) -> bool {
-    i > 0
-        && punct(toks, i) == Some('>')
-        && punct(toks, i - 1) == Some('-')
-        && toks[i - 1].line == toks[i].line
-        && toks[i - 1].col + 1 == toks[i].col
-}
-
 /// Index just past the `<…>` group opening at `i` (which must be `<`).
 /// Returns `toks.len()` on unbalanced input.
 fn skip_angles(toks: &[Token], i: usize) -> usize {
@@ -176,33 +164,6 @@ fn skip_angles(toks: &[Token], i: usize) -> usize {
             // A semicolon or brace at angle depth means the `<` was a
             // comparison, not generics; bail without consuming.
             Some(';') | Some('{') | Some('}') => return i + 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
-/// Index of the punct matching the opener at `i` (`(`/`[`/`{`), or
-/// `toks.len()` when unbalanced.
-fn find_matching(toks: &[Token], i: usize) -> usize {
-    let (open, close) = match punct(toks, i) {
-        Some('(') => ('(', ')'),
-        Some('[') => ('[', ']'),
-        Some('{') => ('{', '}'),
-        _ => return i,
-    };
-    let mut depth = 0i32;
-    let mut j = i;
-    while j < toks.len() {
-        match punct(toks, j) {
-            Some(c) if c == open => depth += 1,
-            Some(c) if c == close => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
             _ => {}
         }
         j += 1;
@@ -477,62 +438,102 @@ fn parse_fn(toks: &[Token], i: usize, container: Option<String>) -> Option<(FnIt
 /// Parse a `struct` item starting at the `struct` keyword.
 fn parse_struct(toks: &[Token], i: usize) -> Option<StructItem> {
     let name = ident(toks, i + 1)?.to_string();
-    let line = toks[i + 1].line;
+    let (public, derives) = struct_prefix(toks, i);
+    let mut item = StructItem {
+        name,
+        line: toks[i + 1].line,
+        public,
+        derives,
+        fields: Vec::new(),
+    };
     let mut j = i + 2;
     if punct(toks, j) == Some('<') {
         j = skip_angles(toks, j);
     }
-    // Walk the (optional) where clause to `{`, `(` or `;`.
-    loop {
-        match punct(toks, j) {
-            Some('{') => break,
-            Some('(') | Some(';') | None => {
-                // Tuple or unit struct: no named fields to model.
-                return Some(StructItem {
-                    name,
-                    line,
-                    fields: Vec::new(),
-                });
+    if ident(toks, j) == Some("where") {
+        // Bounds may hold `Fn(…)` groups; the clause ends at the field
+        // block or at a unit struct's `;`.
+        while j < toks.len() && !matches!(punct(toks, j), Some('{') | Some(';')) {
+            if matches!(punct(toks, j), Some('(') | Some('[')) {
+                j = find_matching(toks, j);
             }
-            _ => j += 1,
+            j += 1;
         }
-        if j >= toks.len() {
-            return Some(StructItem {
-                name,
-                line,
-                fields: Vec::new(),
-            });
-        }
+    }
+    if punct(toks, j) != Some('{') {
+        return Some(item); // tuple or unit struct: no named fields to model
     }
     let end = find_matching(toks, j);
     let body = toks.get(j + 1..end)?;
-    let mut fields = Vec::new();
-    for (a, b) in split_commas(body) {
-        if let Some(f) = parse_field(&body[a..b]) {
-            fields.push(f);
-        }
-    }
-    Some(StructItem { name, line, fields })
+    item.fields = split_commas(body)
+        .into_iter()
+        .filter_map(|(a, b)| parse_field(toks, j + 1 + a, j + 1 + b))
+        .collect();
+    Some(item)
 }
 
-/// Parse one struct field slice (`[pub] name: Type`).
-fn parse_field(toks: &[Token]) -> Option<FieldItem> {
-    let mut s = skip_attrs(toks, 0);
-    if ident(toks, s) == Some("pub") {
-        s += 1;
-        if punct(toks, s) == Some('(') {
-            s = find_matching(toks, s) + 1;
+/// Visibility and derive idents of the struct whose `struct` keyword is
+/// at `i`, read backward over `pub`/`pub(…)` and the `#[…]` run.
+fn struct_prefix(toks: &[Token], i: usize) -> (bool, Vec<String>) {
+    // The opener of the `close` group just before `k`, when balanced.
+    let opener = |k: usize, close: char| {
+        let c = k
+            .checked_sub(1)
+            .filter(|&c| punct(toks, c) == Some(close))?;
+        Some(find_matching(toks, c)).filter(|&open| open < c)
+    };
+    let mut k = i; // first token of the prefix read so far
+    let public = k > 0 && ident(toks, k - 1) == Some("pub");
+    if public {
+        k -= 1;
+    } else if let Some(open) = opener(k, ')') {
+        if open > 0 && ident(toks, open - 1) == Some("pub") {
+            k = open - 1;
         }
     }
-    let name = ident(toks, s)?.to_string();
-    if punct(toks, s + 1) != Some(':') {
+    let mut attrs = Vec::new();
+    while let Some(open) = opener(k, ']') {
+        if open == 0 || punct(toks, open - 1) != Some('#') {
+            break;
+        }
+        attrs.push(open);
+        k = open - 1;
+    }
+    let derives = attrs
+        .iter()
+        .rev()
+        .filter(|&&open| ident(toks, open + 1) == Some("derive"))
+        .flat_map(|&open| &toks[open + 2..find_matching(toks, open)])
+        .filter_map(|t| match &t.tok {
+            Tok::Ident(s) => Some(s.clone()),
+            _ => None,
+        })
+        .collect();
+    (public, derives)
+}
+
+/// Parse the struct field `toks[start..end]` (`#[…]* [pub] name: Type`).
+fn parse_field(toks: &[Token], start: usize, end: usize) -> Option<FieldItem> {
+    let field = &toks[start..end];
+    let mut s = skip_attrs(field, 0);
+    let public = ident(field, s) == Some("pub") && punct(field, s + 1) != Some('(');
+    if ident(field, s) == Some("pub") {
+        s += 1;
+        if punct(field, s) == Some('(') {
+            s = find_matching(field, s) + 1;
+        }
+    }
+    let name = ident(field, s)?.to_string();
+    if punct(field, s + 1) != Some(':') {
         return None;
     }
     Some(FieldItem {
         name,
-        line: toks[s].line,
-        col: toks[s].col,
-        ty: type_text(toks.get(s + 2..)?),
+        line: field[s].line,
+        col: field[s].col,
+        public,
+        ty: type_text(field.get(s + 2..)?),
+        span: (start, end),
     })
 }
 
@@ -649,9 +650,58 @@ mod tests {
 
     #[test]
     fn tuple_and_unit_structs_have_no_fields() {
-        let ast = parse("struct Wrap(u64); struct Marker;");
-        assert_eq!(ast.structs.len(), 2);
+        let ast = parse(
+            "struct Wrap(u64); struct Marker; struct Pair<T>(T, T) where T: Fn(u8);\n\
+             struct Unit<T> where T: Copy;",
+        );
+        assert_eq!(ast.structs.len(), 4);
         assert!(ast.structs.iter().all(|s| s.fields.is_empty()));
+    }
+
+    #[test]
+    fn generic_structs_with_where_clauses_keep_their_fields() {
+        let ast = parse(
+            "pub struct Cache<K: Ord, const N: usize> { pub map: BTreeMap<K, [u8; N]> }\n\
+             pub struct Hook<F> where F: Fn(u64) -> u64, { pub f: F, calls: u64 }",
+        );
+        let names: Vec<Vec<&str>> = ast
+            .structs
+            .iter()
+            .map(|s| s.fields.iter().map(|f| f.name.as_str()).collect())
+            .collect();
+        assert_eq!(names, [vec!["map"], vec!["f", "calls"]]);
+        assert_eq!(ast.structs[0].fields[0].ty, "BTreeMap < K , [ u8 ; N ] >");
+    }
+
+    #[test]
+    fn struct_visibility_and_derives_read_every_attribute() {
+        let ast = parse(
+            "#[derive(Debug, Clone)]\n\
+             #[serde(rename_all = \"snake_case\")]\n\
+             #[derive(serde::Serialize)]\n\
+             pub struct Snap { pub(crate) a: u8, pub b: u8, c: u8 }\n\
+             #[derive(Serialize)] pub(crate) struct Inner { pub d: u8 }\n\
+             struct Private;",
+        );
+        let s = &ast.structs[0];
+        assert!(s.public);
+        assert_eq!(s.derives, ["Debug", "Clone", "serde", "Serialize"]);
+        let public: Vec<bool> = s.fields.iter().map(|f| f.public).collect();
+        assert_eq!(public, [false, true, false]);
+        assert!(!ast.structs[1].public);
+        assert_eq!(ast.structs[1].derives, ["Serialize"]);
+        assert!(ast.structs[1].fields[0].public);
+        assert!(!ast.structs[2].public && ast.structs[2].derives.is_empty());
+    }
+
+    #[test]
+    fn field_span_covers_its_attributes() {
+        let lexed = lex("struct S { #[serde(skip)] pub a: u8, b: Vec<u8>, }");
+        let ast = parse_file(&lexed);
+        let spans: Vec<(usize, usize)> = ast.structs[0].fields.iter().map(|f| f.span).collect();
+        let text = |(a, b): (usize, usize)| type_text(&lexed.tokens[a..b]);
+        assert_eq!(text(spans[0]), "# [ serde ( skip ) ] pub a : u8");
+        assert_eq!(text(spans[1]), "b : Vec < u8 >");
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub struct Pragma {
     pub reason: String,
     /// 1-based line of the pragma comment.
     pub line: u32,
+    /// 1-based byte column of the comment's leading `//`.
+    pub col: u32,
     /// Whether the pragma covers the whole file (`allow-file`).
     pub file_scope: bool,
     /// Whether the comment stands alone on its line (covers line+1).
@@ -48,7 +50,7 @@ pub enum PragmaError {
         /// The offending directive text.
         directive: String,
     },
-    /// Rule id is not one of D001–D007.
+    /// Rule id is not one of [`RULE_IDS`] (D001–D011).
     UnknownRule {
         /// 1-based line.
         line: u32,
@@ -111,6 +113,7 @@ pub fn parse_pragmas(comments: &[LineComment]) -> (Vec<Pragma>, Vec<PragmaError>
                 rule,
                 reason,
                 line: comment.line,
+                col: comment.col,
                 file_scope,
                 standalone: comment.standalone,
                 used: false,

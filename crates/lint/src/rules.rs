@@ -1,31 +1,36 @@
-//! The token-level determinism rules (D001–D007). The interprocedural
+//! The per-file determinism rules (D001–D007). The interprocedural
 //! rules (D008–D011) live in [`crate::semantic`]; the pragma-hygiene
 //! findings (P001 malformed pragma, P002 unused pragma) are emitted by
 //! the pipeline in `lib.rs`.
 //!
-//! Every rule here is resolvable at token level — deliberately: the
-//! gate must run in offline CI with zero dependencies, and a rule that
-//! needs whole-program type inference is a rule whose false-negative
-//! modes nobody can reason about. Where a rule is a heuristic
-//! approximation of the real invariant (D005, D006), the approximation
-//! is documented here and in `DESIGN.md` §9; the semantic rules'
-//! approximations are documented on [`crate::semantic`] and §13.
+//! Each rule reads the one parse of its file. The single-mention rules
+//! (D001, D002, D003, D005) scan the token stream; D004 and D007 read
+//! the per-function facts ([`crate::model::FnFacts`]) and D006 reads
+//! the parsed struct items. None of them re-parses Rust here.
 //!
-//! | rule | invariant |
-//! |------|-----------|
-//! | D001 | no `HashMap`/`HashSet` in sim-affecting crates (iteration order leaks into event order) |
-//! | D002 | no wall clock (`Instant::now`, `SystemTime::now`) outside `bench`/`cli` |
-//! | D003 | no ambient entropy (`thread_rng`, `rand::random`, `from_entropy`, `OsRng`, `getrandom`) anywhere |
-//! | D004 | no duplicate `SimRng::derive("label")` literals within one function body |
-//! | D005 | no float `+=`/`.sum()` accumulation over money identifiers in sim-affecting crates |
-//! | D006 | no `pub` hash-keyed map fields in `#[derive(Serialize)]` snapshot types |
-//! | D007 | no unordered parallel reductions (`.lock()` + `push`/`extend`/`insert`/`append` on one line) in sim crates or `bench` |
-//! | D008 | RNG lineage: no sibling-stream label collisions across function boundaries, no loop-invariant labels derived in loops |
-//! | D009 | metrics contracts: one kind per `(subsystem, name)` workspace-wide; handles touched only with their kind's methods |
-//! | D010 | span pairing: every opened span reaches a `close` through the intra-crate call graph |
-//! | D011 | cross-lane state: no `static mut` / interior-mutable statics / `lazy_static!` in parallel crates, no `Arc<Mutex<_>>`/`Arc<RwLock<_>>` fields reachable from sharded lane code |
+//! Deliberately no rule needs type inference: the gate must run in
+//! offline CI with zero dependencies, and a rule that needs
+//! whole-program type inference is a rule whose false-negative modes
+//! nobody can reason about. Where a rule is a heuristic approximation
+//! of the real invariant (D005, D006, D007), the approximation is
+//! documented here and in `DESIGN.md` §9, next to the semantic rules'.
+//!
+//! | rule | reads | invariant |
+//! |------|-------|-----------|
+//! | D001 | tokens | no `HashMap`/`HashSet` in sim-affecting crates (iteration order leaks into event order) |
+//! | D002 | tokens | no wall clock (`Instant::now`, `SystemTime::now`) outside `bench`/`cli` |
+//! | D003 | tokens | no ambient entropy (`thread_rng`, `rand::random`, `from_entropy`, `OsRng`, `getrandom`) anywhere |
+//! | D004 | fn facts | no duplicate `SimRng::derive("label")` literals within one function body |
+//! | D005 | tokens | no float `+=`/`.sum()` accumulation over money identifiers in sim-affecting crates |
+//! | D006 | struct items | no `pub` hash-keyed map fields in `#[derive(Serialize)]` snapshot types |
+//! | D007 | fn facts | no unordered parallel reductions (`.lock()` + `push`/`extend`/`insert`/`append` on one line) in sim crates or `bench` |
+//!
+//! D008–D011 read the workspace model plus the call graph; see
+//! [`crate::semantic`].
 
-use crate::lexer::{Lexed, Tok, Token};
+use crate::graph::crate_key;
+use crate::lexer::{ident, punct, Tok, Token};
+use crate::model::FileModel;
 
 /// All suppressible rule ids (P001/P002 are not suppressible: pragma
 /// hygiene cannot be pragma'd away).
@@ -50,7 +55,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id (`D001`…`D007`, `P001`, `P002`).
+    /// Rule id (`D001`…`D011`, `P001`, `P002`).
     pub rule: &'static str,
     /// What is wrong.
     pub message: String,
@@ -58,47 +63,50 @@ pub struct Finding {
     pub hint: String,
 }
 
-/// Per-file scope derived from the workspace-relative path.
+/// Which scoped rules apply to a file, from its crate ([`crate_key`]).
 #[derive(Debug, Clone, Copy)]
-struct FileScope {
+pub(crate) struct FileScope {
     /// Inside one of [`SIM_CRATES`] (D001/D005 apply).
-    sim: bool,
+    pub sim: bool,
     /// Inside the wall-clock allowlist (D002 does not apply).
-    wallclock_allowed: bool,
-    /// Inside a crate that may run parallel reductions over sim
-    /// results — the sim crates plus `bench`, home of the sweep
-    /// runner and the sharded fleet driver (the D007 scope).
-    parallel: bool,
+    pub wallclock_allowed: bool,
+    /// Inside a crate that may run parallel code over sim results — the
+    /// sim crates plus `bench`, home of the sweep runner and the sharded
+    /// fleet driver (the D007 and D011 scope).
+    pub parallel: bool,
 }
 
-fn crate_of(rel_path: &str) -> Option<&str> {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-}
-
-fn scope_of(rel_path: &str) -> FileScope {
-    let krate = crate_of(rel_path);
+/// The scope of the file at workspace-relative `rel_path`.
+pub(crate) fn scope_of(rel_path: &str) -> FileScope {
+    let krate = crate_key(rel_path);
+    let sim = SIM_CRATES.contains(&krate);
     FileScope {
-        sim: krate.is_some_and(|k| SIM_CRATES.contains(&k)),
-        wallclock_allowed: krate.is_some_and(|k| WALLCLOCK_ALLOWLIST.contains(&k)),
-        parallel: krate.is_some_and(|k| SIM_CRATES.contains(&k) || k == "bench"),
+        sim,
+        wallclock_allowed: WALLCLOCK_ALLOWLIST.contains(&krate),
+        parallel: sim || krate == "bench",
     }
 }
 
-/// Raw token-level findings (D001–D007) for one file — no pragma
-/// suppression, no hygiene findings; the pipeline in `lib.rs` applies
-/// those after merging in the semantic findings.
-pub(crate) fn token_findings(rel_path: &str, lexed: &Lexed) -> Vec<Finding> {
-    let scope = scope_of(rel_path);
+/// Raw per-file findings (D001–D007) from the file's tokens and its
+/// model — no pragma suppression, no hygiene findings; the pipeline in
+/// `lib.rs` applies those after merging in the semantic findings.
+pub(crate) fn file_findings(toks: &[Token], model: &FileModel) -> Vec<Finding> {
+    let path = model.path.as_str();
+    let scope = scope_of(path);
     let mut raw: Vec<Finding> = Vec::new();
-    rule_d001_hash_collections(rel_path, lexed, scope, &mut raw);
-    rule_d002_wall_clock(rel_path, lexed, scope, &mut raw);
-    rule_d003_ambient_entropy(rel_path, lexed, &mut raw);
-    rule_d004_duplicate_stream_labels(rel_path, lexed, &mut raw);
-    rule_d005_float_money(rel_path, lexed, scope, &mut raw);
-    rule_d006_serialized_hash_maps(rel_path, lexed, &mut raw);
-    rule_d007_unordered_parallel_reductions(rel_path, lexed, scope, &mut raw);
+    if scope.sim {
+        rule_d001_hash_collections(path, toks, &mut raw);
+        rule_d005_float_money(path, toks, &mut raw);
+    }
+    if !scope.wallclock_allowed {
+        rule_d002_wall_clock(path, toks, &mut raw);
+    }
+    rule_d003_ambient_entropy(path, toks, &mut raw);
+    rule_d004_duplicate_stream_labels(model, &mut raw);
+    rule_d006_serialized_hash_maps(toks, model, &mut raw);
+    if scope.parallel {
+        rule_d007_unordered_parallel_reductions(model, &mut raw);
+    }
     raw
 }
 
@@ -114,11 +122,8 @@ fn push_once_per_line(out: &mut Vec<Finding>, f: Finding) {
 /// D001 — hash-ordered collections in sim-affecting crates. Flags every
 /// mention (imports, types, constructors): the cheapest place to stop
 /// nondeterministic iteration is before the collection exists at all.
-fn rule_d001_hash_collections(path: &str, lexed: &Lexed, scope: FileScope, out: &mut Vec<Finding>) {
-    if !scope.sim {
-        return;
-    }
-    for t in &lexed.tokens {
+fn rule_d001_hash_collections(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    for t in toks {
         if let Tok::Ident(name) = &t.tok {
             if name == "HashMap" || name == "HashSet" {
                 push_once_per_line(
@@ -147,11 +152,7 @@ fn rule_d001_hash_collections(path: &str, lexed: &Lexed, scope: FileScope, out: 
 /// D002 — wall-clock reads outside the bench/cli allowlist. Simulated
 /// components must take time from `SimTime`; a single `Instant::now`
 /// in a sim crate makes replay machine-dependent.
-fn rule_d002_wall_clock(path: &str, lexed: &Lexed, scope: FileScope, out: &mut Vec<Finding>) {
-    if scope.wallclock_allowed {
-        return;
-    }
-    let toks = &lexed.tokens;
+fn rule_d002_wall_clock(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     for i in 0..toks.len() {
         let Tok::Ident(name) = &toks[i].tok else {
             continue;
@@ -179,21 +180,16 @@ fn rule_d002_wall_clock(path: &str, lexed: &Lexed, scope: FileScope, out: &mut V
     }
 }
 
-/// Whether `toks[i..]` is `:: <ident>` for the given ident.
-fn path_then(toks: &[Token], i: usize, ident: &str) -> bool {
-    matches!(
-        (toks.get(i), toks.get(i + 1), toks.get(i + 2)),
-        (Some(a), Some(b), Some(c))
-            if a.tok == Tok::Punct(':')
-                && b.tok == Tok::Punct(':')
-                && c.tok == Tok::Ident(ident.to_string())
-    )
+/// Whether `toks[i..]` is `:: <name>`.
+fn path_then(toks: &[Token], i: usize, name: &str) -> bool {
+    punct(toks, i) == Some(':')
+        && punct(toks, i + 1) == Some(':')
+        && ident(toks, i + 2) == Some(name)
 }
 
 /// D003 — ambient entropy anywhere in the workspace. All randomness
 /// must flow through `SimRng::derive("label")` named streams.
-fn rule_d003_ambient_entropy(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
+fn rule_d003_ambient_entropy(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     for i in 0..toks.len() {
         let Tok::Ident(name) = &toks[i].tok else {
             continue;
@@ -224,70 +220,30 @@ fn rule_d003_ambient_entropy(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) 
 /// D004 — duplicate `.derive("label")` string literals within one
 /// function body. Two identical labels derived from the same parent
 /// state yield byte-identical streams: silently correlated randomness.
-fn rule_d004_duplicate_stream_labels(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    // Scope stack: (brace_depth_at_open, labels seen in this fn body).
-    let mut scopes: Vec<(u32, Vec<String>)> = vec![(0, Vec::new())];
-    let mut depth = 0u32;
-    let mut pending_fn = false;
-    let mut paren_depth = 0u32;
-
-    for i in 0..toks.len() {
-        match &toks[i].tok {
-            Tok::Ident(name) if name == "fn" => pending_fn = true,
-            Tok::Punct('(') => paren_depth += 1,
-            Tok::Punct(')') => paren_depth = paren_depth.saturating_sub(1),
-            Tok::Punct(';') if pending_fn && paren_depth == 0 => {
-                // Bodyless signature (trait method / extern): no scope.
-                pending_fn = false;
+/// Every repeat after a label's first derive is flagged; a nested fn is
+/// a body of its own (the model keeps its derives apart).
+fn rule_d004_duplicate_stream_labels(model: &FileModel, out: &mut Vec<Finding>) {
+    for f in &model.fns {
+        let mut seen: Vec<&str> = Vec::new();
+        for d in &f.facts.derives {
+            if !seen.contains(&d.label.as_str()) {
+                seen.push(&d.label);
+                continue;
             }
-            Tok::Punct('{') => {
-                depth += 1;
-                if pending_fn && paren_depth == 0 {
-                    scopes.push((depth, Vec::new()));
-                    pending_fn = false;
-                }
-            }
-            Tok::Punct('}') => {
-                if let Some(&(open_depth, _)) = scopes.last() {
-                    if open_depth == depth && scopes.len() > 1 {
-                        scopes.pop();
-                    }
-                }
-                depth = depth.saturating_sub(1);
-            }
-            Tok::Ident(name) if name == "derive" => {
-                // Method call `.derive("lit")`: dot before, string after.
-                let dotted = i > 0 && toks[i - 1].tok == Tok::Punct('.');
-                let lit = match (toks.get(i + 1), toks.get(i + 2)) {
-                    (Some(open), Some(arg)) if open.tok == Tok::Punct('(') => match &arg.tok {
-                        Tok::Str(s) => Some(s.clone()),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                if let (true, Some(label)) = (dotted, lit) {
-                    let labels = &mut scopes.last_mut().expect("root scope").1;
-                    if labels.contains(&label) {
-                        out.push(Finding {
-                            path: path.to_string(),
-                            line: toks[i].line,
-                            col: toks[i].col,
-                            rule: "D004",
-                            message: format!(
-                                "duplicate stream label {label:?} within one function body: \
-                                 identical labels alias the same stream"
-                            ),
-                            hint: "give each derived stream a distinct label (or derive \
-                                   from the already-derived child)"
-                                .to_string(),
-                        });
-                    } else {
-                        labels.push(label);
-                    }
-                }
-            }
-            _ => {}
+            out.push(Finding {
+                path: model.path.clone(),
+                line: d.line,
+                col: d.col,
+                rule: "D004",
+                message: format!(
+                    "duplicate stream label {:?} within one function body: \
+                     identical labels alias the same stream",
+                    d.label
+                ),
+                hint: "give each derived stream a distinct label (or derive \
+                       from the already-derived child)"
+                    .to_string(),
+            });
         }
     }
 }
@@ -313,11 +269,7 @@ fn is_integer_money_ident(name: &str) -> bool {
 /// Heuristic: a `+=` statement or `.sum()` call whose *line* mentions a
 /// money identifier (`cost`, `usd`, `price`, `bill`, …) and no integer
 /// money marker (`nano`, `cents`, `mb_us`).
-fn rule_d005_float_money(path: &str, lexed: &Lexed, scope: FileScope, out: &mut Vec<Finding>) {
-    if !scope.sim {
-        return;
-    }
-    let toks = &lexed.tokens;
+fn rule_d005_float_money(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     let mut hits: Vec<(u32, u32, &'static str)> = Vec::new();
     for i in 0..toks.len() {
         match &toks[i].tok {
@@ -331,7 +283,7 @@ fn rule_d005_float_money(path: &str, lexed: &Lexed, scope: FileScope, out: &mut 
                     }
                 }
             }
-            Tok::Ident(name) if name == "sum" && i > 0 && toks[i - 1].tok == Tok::Punct('.') => {
+            Tok::Ident(name) if name == "sum" && i > 0 && punct(toks, i - 1) == Some('.') => {
                 hits.push((toks[i].line, toks[i].col, "`.sum()` fold"));
             }
             _ => {}
@@ -374,134 +326,45 @@ fn rule_d005_float_money(path: &str, lexed: &Lexed, scope: FileScope, out: &mut 
 /// types. A serialized `HashMap` writes entries in iteration order, so
 /// two identical snapshots can serialize differently; exporters must
 /// sort (`BTreeMap`, or a `Vec` sorted at snapshot time).
-fn rule_d006_serialized_hash_maps(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        // Match `# [ derive ( ... ) ]` and collect the derive list.
-        if toks[i].tok != Tok::Punct('#') {
-            i += 1;
+///
+/// Heuristic: a plain-`pub` struct whose derive attributes name
+/// `Serialize`, and in it a plain-`pub` field whose tokens (attributes
+/// included) mention `HashMap`/`HashSet`. The first mention per field
+/// is reported.
+fn rule_d006_serialized_hash_maps(toks: &[Token], model: &FileModel, out: &mut Vec<Finding>) {
+    for s in &model.structs {
+        if !s.public || !s.derives.iter().any(|d| d == "Serialize") {
             continue;
         }
-        let Some(open) = toks.get(i + 1) else { break };
-        if open.tok != Tok::Punct('[') {
-            i += 1;
-            continue;
+        for field in s.fields.iter().filter(|f| f.public) {
+            let hit = toks[field.span.0..field.span.1]
+                .iter()
+                .find_map(|t| match &t.tok {
+                    Tok::Ident(name) if name == "HashMap" || name == "HashSet" => Some((t, name)),
+                    _ => None,
+                });
+            let Some((t, name)) = hit else {
+                continue;
+            };
+            out.push(Finding {
+                path: model.path.clone(),
+                line: t.line,
+                col: t.col,
+                rule: "D006",
+                message: format!(
+                    "pub `{name}` field in a `#[derive(Serialize)]` snapshot type \
+                     serializes in nondeterministic iteration order"
+                ),
+                hint: "exporters must sort: use `BTreeMap`, or collect into a sorted \
+                       `Vec` at snapshot time"
+                    .to_string(),
+            });
         }
-        let Some(kw) = toks.get(i + 2) else { break };
-        if kw.tok != Tok::Ident("derive".to_string()) {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 3;
-        let mut derives: Vec<String> = Vec::new();
-        let mut paren = 0i32;
-        while let Some(t) = toks.get(j) {
-            match &t.tok {
-                Tok::Punct('(') => paren += 1,
-                Tok::Punct(')') => {
-                    paren -= 1;
-                    if paren == 0 {
-                        break;
-                    }
-                }
-                Tok::Ident(name) => derives.push(name.clone()),
-                _ => {}
-            }
-            j += 1;
-        }
-        i = j + 1;
-        if !derives.iter().any(|d| d == "Serialize") {
-            continue;
-        }
-        // Skip `]`, further attributes, and find `pub struct Name {`.
-        let mut k = i;
-        while toks.get(k).map(|t| &t.tok) == Some(&Tok::Punct(']')) {
-            k += 1;
-            // Another attribute?
-            while toks.get(k).map(|t| &t.tok) == Some(&Tok::Punct('#')) {
-                let mut bracket = 0i32;
-                k += 1;
-                while let Some(t) = toks.get(k) {
-                    match t.tok {
-                        Tok::Punct('[') => bracket += 1,
-                        Tok::Punct(']') => {
-                            bracket -= 1;
-                            if bracket == 0 {
-                                k += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-            }
-        }
-        let exported = toks.get(k).map(|t| &t.tok) == Some(&Tok::Ident("pub".to_string()))
-            && toks.get(k + 1).map(|t| &t.tok) != Some(&Tok::Punct('('));
-        if !exported {
-            continue;
-        }
-        if toks.get(k + 1).map(|t| &t.tok) != Some(&Tok::Ident("struct".to_string())) {
-            continue;
-        }
-        // Find the field block: first `{` after the struct name (a `;`
-        // first means a unit/tuple struct — nothing to check).
-        let mut b = k + 2;
-        loop {
-            match toks.get(b).map(|t| &t.tok) {
-                Some(Tok::Punct('{')) => break,
-                Some(Tok::Punct(';')) | None => {
-                    b = usize::MAX;
-                    break;
-                }
-                _ => b += 1,
-            }
-        }
-        if b == usize::MAX {
-            continue;
-        }
-        check_struct_fields(path, toks, b, out);
     }
 }
 
-/// Walk a brace-delimited struct body starting at the `{` token index;
-/// flag `pub` fields whose type mentions `HashMap`/`HashSet`.
-fn check_struct_fields(path: &str, toks: &[Token], open: usize, out: &mut Vec<Finding>) {
-    let mut depth = 0i32;
-    let mut field_start = open + 1;
-    let mut j = open;
-    while let Some(t) = toks.get(j) {
-        // `->` inside a field type (fn-pointer fields) is an arrow, not
-        // a closing angle bracket.
-        let arrow = t.tok == Tok::Punct('>')
-            && j > 0
-            && toks[j - 1].tok == Tok::Punct('-')
-            && toks[j - 1].line == t.line
-            && toks[j - 1].col + 1 == t.col;
-        if arrow {
-            j += 1;
-            continue;
-        }
-        match t.tok {
-            Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('<') => depth += 1,
-            Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('>') => {
-                depth -= 1;
-                if depth == 0 {
-                    check_one_field(path, &toks[field_start..j], out);
-                    return;
-                }
-            }
-            Tok::Punct(',') if depth == 1 => {
-                check_one_field(path, &toks[field_start..j], out);
-                field_start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-}
+/// Calls that grow a collection in place (the D007 growers).
+const GROWERS: [&str; 4] = ["push", "extend", "insert", "append"];
 
 /// D007 — unordered parallel reductions. A worker that does
 /// `shared.lock()….push(result)` commits results in thread *completion*
@@ -510,108 +373,137 @@ fn check_struct_fields(path: &str, toks: &[Token], open: usize, out: &mut Vec<Fi
 /// shape is the sweep runner's: one pre-allocated slot per item index,
 /// assigned under its own lock, merged in item order after the join.
 ///
-/// Heuristic: a line that both acquires a lock (`.lock()`) and grows a
-/// collection (`push`/`extend`/`insert`/`append`), inside the sim
-/// crates or `bench` (where the parallel drivers live).
-fn rule_d007_unordered_parallel_reductions(
-    path: &str,
-    lexed: &Lexed,
-    scope: FileScope,
-    out: &mut Vec<Finding>,
-) {
-    if !scope.parallel {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        let Tok::Ident(name) = &toks[i].tok else {
+/// Heuristic: a line that both acquires a lock (a `.lock()` method
+/// call) and calls a grower (`push`/`extend`/`insert`/`append`), inside
+/// the sim crates or `bench` (where the parallel drivers live). The
+/// leftmost grower on the line is reported.
+fn rule_d007_unordered_parallel_reductions(model: &FileModel, out: &mut Vec<Finding>) {
+    let calls: Vec<_> = model.fns.iter().flat_map(|f| &f.facts.calls).collect();
+    let mut lock_lines: Vec<u32> = calls
+        .iter()
+        .filter(|c| c.method && c.callee == "lock")
+        .map(|c| c.line)
+        .collect();
+    lock_lines.sort_unstable();
+    lock_lines.dedup();
+    for line in lock_lines {
+        let grower = calls
+            .iter()
+            .filter(|c| c.line == line && GROWERS.contains(&c.callee.as_str()))
+            .min_by_key(|c| c.col);
+        let Some(g) = grower else {
             continue;
         };
-        if name != "lock"
-            || i == 0
-            || toks[i - 1].tok != Tok::Punct('.')
-            || toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct('('))
-        {
-            continue;
-        }
-        let line = toks[i].line;
-        let grower = toks.iter().enumerate().find(|(j, t)| {
-            t.line == line
-                && matches!(&t.tok, Tok::Ident(m)
-                    if m == "push" || m == "extend" || m == "insert" || m == "append")
-                && toks.get(j + 1).map(|n| &n.tok) == Some(&Tok::Punct('('))
+        out.push(Finding {
+            path: model.path.clone(),
+            line,
+            col: g.col,
+            rule: "D007",
+            message: format!(
+                "unordered parallel reduction: `.{}` on a lock-guarded \
+                 collection commits results in thread completion order",
+                g.callee
+            ),
+            hint: "reduce into one pre-allocated slot per item index and \
+                   merge in item order (see `sky_bench::sweep::run`), or \
+                   sort by a deterministic key before folding"
+                .to_string(),
         });
-        if let Some((_, t)) = grower {
-            if let Tok::Ident(m) = &t.tok {
-                push_once_per_line(
-                    out,
-                    Finding {
-                        path: path.to_string(),
-                        line,
-                        col: t.col,
-                        rule: "D007",
-                        message: format!(
-                            "unordered parallel reduction: `.{m}` on a lock-guarded \
-                             collection commits results in thread completion order"
-                        ),
-                        hint: "reduce into one pre-allocated slot per item index and \
-                               merge in item order (see `sky_bench::sweep::run`), or \
-                               sort by a deterministic key before folding"
-                            .to_string(),
-                    },
-                );
-            }
-        }
     }
 }
 
-fn check_one_field(path: &str, field: &[Token], out: &mut Vec<Finding>) {
-    if field.is_empty() {
-        return;
+#[cfg(test)]
+mod tests {
+    use crate::{lint_source, Finding};
+
+    /// `(rule, line, col)` of each finding, in canonical order.
+    fn sites(findings: &[Finding]) -> Vec<(&'static str, u32, u32)> {
+        findings.iter().map(|f| (f.rule, f.line, f.col)).collect()
     }
-    // Skip field attributes `#[...]`.
-    let mut s = 0usize;
-    while field.get(s).map(|t| &t.tok) == Some(&Tok::Punct('#')) {
-        let mut bracket = 0i32;
-        s += 1;
-        while let Some(t) = field.get(s) {
-            match t.tok {
-                Tok::Punct('[') => bracket += 1,
-                Tok::Punct(']') => {
-                    bracket -= 1;
-                    if bracket == 0 {
-                        s += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            s += 1;
-        }
+
+    #[test]
+    fn d006_reads_every_derive_attribute() {
+        let f = lint_source(
+            "crates/bench/src/x.rs",
+            "#[derive(Debug)]\n\
+             #[derive(Serialize)]\n\
+             pub struct Snap {\n\
+                 pub by_az: HashMap<String, u64>,\n\
+             }",
+        );
+        assert_eq!(sites(&f), [("D006", 4, 12)]);
     }
-    let public = field.get(s).map(|t| &t.tok) == Some(&Tok::Ident("pub".to_string()))
-        && field.get(s + 1).map(|t| &t.tok) != Some(&Tok::Punct('('));
-    if !public {
-        return;
+
+    #[test]
+    fn d006_skips_restricted_fields_and_private_structs() {
+        let f = lint_source(
+            "crates/bench/src/x.rs",
+            "#[derive(Serialize)]\n\
+             pub struct Snap { pub(crate) by_az: HashMap<String, u64>, n: HashSet<u8> }\n\
+             #[derive(Serialize)]\n\
+             struct Hidden { pub by_az: HashMap<String, u64> }",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
-    for t in field {
-        if let Tok::Ident(name) = &t.tok {
-            if name == "HashMap" || name == "HashSet" {
-                out.push(Finding {
-                    path: path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    rule: "D006",
-                    message: format!(
-                        "pub `{name}` field in a `#[derive(Serialize)]` snapshot type \
-                         serializes in nondeterministic iteration order"
-                    ),
-                    hint: "exporters must sort: use `BTreeMap`, or collect into a sorted \
-                           `Vec` at snapshot time"
-                        .to_string(),
-                });
-                return;
-            }
-        }
+
+    #[test]
+    fn d006_reports_a_field_once_under_two_serialize_derives() {
+        let f = lint_source(
+            "crates/bench/src/x.rs",
+            "#[derive(Serialize)]\n\
+             #[derive(serde::Serialize)]\n\
+             pub struct Snap { pub a: HashMap<u8, u8>, pub b: HashSet<u8> }",
+        );
+        assert_eq!(sites(&f), [("D006", 3, 26), ("D006", 3, 50)]);
+    }
+
+    #[test]
+    fn d007_reports_the_grower_left_of_the_lock() {
+        let f = lint_source(
+            "crates/bench/src/x.rs",
+            "fn f(out: &mut Vec<usize>, m: &Mutex<Vec<u8>>) {\n\
+                 out.push(m.lock().unwrap().len());\n\
+             }",
+        );
+        assert_eq!(sites(&f), [("D007", 2, 5)]);
+        assert!(f[0].message.contains("`.push`"));
+    }
+
+    #[test]
+    fn d007_needs_a_lock_method_call_on_the_growers_line() {
+        let f = lint_source(
+            "crates/bench/src/x.rs",
+            "fn f(m: &Mutex<Vec<u8>>) {\n\
+                 let mut g = m.lock().unwrap();\n\
+                 g.push(1);\n\
+                 Mutex::lock(&m).unwrap().push(2);\n\
+             }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn d004_flags_every_repeat_of_a_label() {
+        let f = lint_source(
+            "crates/faas/src/x.rs",
+            "fn f(rng: &mut SimRng) {\n\
+                 let a = rng.derive(\"x\");\n\
+                 let b = rng.derive(\"x\");\n\
+                 let c = rng.derive(\"x\");\n\
+             }",
+        );
+        assert_eq!(sites(&f), [("D004", 3, 13), ("D004", 4, 13)]);
+    }
+
+    #[test]
+    fn d004_keeps_a_nested_fn_apart() {
+        let f = lint_source(
+            "crates/faas/src/x.rs",
+            "fn outer(rng: &mut SimRng) {\n\
+                 let a = rng.derive(\"x\");\n\
+                 fn inner(rng: &mut SimRng) { let b = rng.derive(\"x\"); }\n\
+             }",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -8,7 +8,7 @@
 //! | D010 | span pairing: a function that opens a span must reach a `close` through the intra-crate call graph |
 //! | D011 | cross-lane state: no `static mut` / interior-mutable statics / `lazy_static!` in parallel crates, and no `Arc<Mutex<_>>`/`Arc<RwLock<_>>` fields in structs reachable from `sky_faas::sharded` lane code |
 //!
-//! Approximation caveats (also in `DESIGN.md` §13): resolution is
+//! Approximation caveats (also in `DESIGN.md` §9): resolution is
 //! name-based and crate-local, so D008 only propagates through calls it
 //! can resolve *uniquely* (a missed edge is a missed finding, never a
 //! false one) while D010 follows *every* candidate edge (an extra edge
@@ -19,9 +19,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::{crate_key, CallGraph, FnId};
+use crate::graph::{CallGraph, FnId};
 use crate::model::{is_simrng_ty, RecvRoot, WorkspaceModel};
-use crate::rules::{Finding, SIM_CRATES};
+use crate::rules::{scope_of, Finding};
 
 /// Run all semantic rules; raw findings (pragma suppression happens at
 /// the pipeline layer, per file).
@@ -33,12 +33,6 @@ pub fn semantic_findings(model: &WorkspaceModel) -> Vec<Finding> {
     rule_d010_span_pairing(model, &graph, &mut out);
     rule_d011_cross_lane_state(model, &mut out);
     out
-}
-
-/// Whether a crate may run lane-parallel code (the D011 static scope).
-fn parallel_scope(path: &str) -> bool {
-    let k = crate_key(path);
-    SIM_CRATES.contains(&k) || k == "bench"
 }
 
 // ---------------------------------------------------------------- D008
@@ -446,7 +440,7 @@ fn interior_mut_token(ty: &str) -> Option<&str> {
 fn rule_d011_cross_lane_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     // Statics and lazy_static in any parallel-capable crate.
     for file in &model.files {
-        if !parallel_scope(&file.path) {
+        if !scope_of(&file.path).parallel {
             continue;
         }
         for s in &file.statics {

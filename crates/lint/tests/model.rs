@@ -11,9 +11,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use sky_lint::model::{extract_source, WorkspaceModel};
-use sky_lint::{
-    collect_workspace_files, find_workspace_root, lint_workspace_with_jobs, render_json,
-};
+use sky_lint::{collect_workspace_files, find_workspace_root, lint_source};
 
 /// Every `.rs` file the linter can see: the real workspace plus both
 /// fixture corpora (the fixtures deliberately exercise odd shapes).
@@ -49,7 +47,8 @@ fn corpus() -> Vec<(String, String)> {
     files
 }
 
-/// Extraction is total over every real file we have, and over every
+/// Extraction, and the per-file rules that index tokens by the spans
+/// it records, are total over every real file we have and over every
 /// char-boundary truncation of a sample of them — truncation tears
 /// tokens, bodies, and generics mid-flight, which is exactly where a
 /// hand-rolled parser would index out of bounds.
@@ -57,7 +56,7 @@ fn corpus() -> Vec<(String, String)> {
 fn extraction_never_panics_on_corpus_or_truncations() {
     let files = corpus();
     for (path, source) in &files {
-        let _ = extract_source(path, source);
+        let _ = lint_source(path, source);
     }
     // Truncation sweep on a deterministic sample (every 7th file, every
     // 31st char boundary) keeps the test fast while still covering
@@ -65,7 +64,7 @@ fn extraction_never_panics_on_corpus_or_truncations() {
     for (path, source) in files.iter().step_by(7) {
         let boundaries: Vec<usize> = source.char_indices().map(|(i, _)| i).step_by(31).collect();
         for &cut in &boundaries {
-            let _ = extract_source(path, &source[..cut]);
+            let _ = lint_source(path, &source[..cut]);
         }
     }
 }
@@ -86,15 +85,4 @@ fn model_is_byte_stable_across_discovery_order() {
             .collect(),
     );
     assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
-}
-
-/// Parallel linting joins shards in spawn order, so the report is
-/// byte-identical whatever `--jobs` is.
-#[test]
-fn workspace_report_is_byte_stable_across_jobs() {
-    let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = find_workspace_root(&manifest_dir).expect("workspace root");
-    let serial = render_json(&lint_workspace_with_jobs(&root, 1).expect("jobs=1"));
-    let parallel = render_json(&lint_workspace_with_jobs(&root, 4).expect("jobs=4"));
-    assert_eq!(serial, parallel);
 }
