@@ -5,10 +5,10 @@
 //!
 //! The rendered report contains only shard-invariant values (digests,
 //! outcome counts, windows, forwards, events), so the experiment is
-//! `deterministic()` and golden-pinned at quick scale: the golden
-//! harness runs it at all three shard counts through the quick gate.
-//! Host-time measurements of the fleet live in `perfbench`'s
-//! `fleet_ring` workload.
+//! golden-pinned at quick scale like every other: the golden harness
+//! runs it at all three shard counts through the quick gate. Host-time
+//! measurements of the fleet live in `perfbench`'s `fleet_ring`
+//! workload.
 //!
 //! [`ShardedFleet`]: sky_core::faas::ShardedFleet
 //! [`FleetReport::digest`]: sky_core::faas::FleetReport

@@ -93,10 +93,7 @@ fn probe_zone(
     let snapshot = store
         .probe(&mut world.engine, world.aws, az, scale.pick(4, 3), poll)
         .expect("probe deploys");
-    (
-        snapshot.mix.clone(),
-        (snapshot.cost_usd * 1e9).round() as u64,
-    )
+    (snapshot.mix.clone(), PriceBook::nano_usd(snapshot.cost_usd))
 }
 
 /// Expected per-request cost of `kind` in `az` under the platform's
@@ -115,8 +112,12 @@ fn truth_cost_nanousd(
         .expected_ms_under_mix(kind, &mix)
         .expect("kind profiled");
     let billed = SimDuration::from_micros((ms * 1_000.0).round() as u64);
-    let cost = PriceBook::invocation_cost(Provider::Aws, Arch::X86_64, 2048, billed);
-    (cost * 1e9).round() as u64
+    PriceBook::nano_usd(PriceBook::invocation_cost(
+        Provider::Aws,
+        Arch::X86_64,
+        2048,
+        billed,
+    ))
 }
 
 fn run_cell(class_idx: usize, strat: usize, scale: Scale, seed: u64) -> CellRow {

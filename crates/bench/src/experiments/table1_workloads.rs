@@ -2,19 +2,15 @@
 //!
 //! Runs every kernel *for real* (not through the performance model) and
 //! prints the paper's metadata columns alongside execution evidence:
-//! checksum, abstract work units, and host-side wall time at scale 1.
-
-// Host wall time is the column being reported — bench is on the
-// wall-clock allowlist (sky-lint D002), so the clippy ban on
-// `Instant::now` is lifted to match.
-#![allow(clippy::disallowed_methods)]
+//! checksum and abstract work units at scale 1. Host time is not
+//! reported: the kernels' speed on the machine at hand is perfbench's
+//! subject, and the table must stay a pure function of the seed.
 
 use crate::outln;
 use crate::registry::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::Scale;
 use sky_core::sim::series::Table;
 use sky_core::workloads::{execute, EphemeralFs, WorkloadKind, WorkloadRequest};
-use std::time::Instant;
 
 /// See the module docs.
 pub struct Table1Workloads;
@@ -32,35 +28,19 @@ impl Experiment for Table1Workloads {
         vec![("functions", WorkloadKind::ALL.len().to_string())]
     }
 
-    /// The host-ms column is wall-clock time: same table shape every
-    /// run, different timings.
-    fn deterministic(&self) -> bool {
-        false
-    }
-
     fn run(&self, ctx: &mut ExperimentCtx) -> ExperimentOutput {
         let mut table = Table::new(
             "Table 1: serverless workload suite (kernels executed for real)",
-            &[
-                "function",
-                "vCPUs",
-                "checksum",
-                "work units",
-                "host ms",
-                "description",
-            ],
+            &["function", "vCPUs", "checksum", "work units", "description"],
         );
         for kind in WorkloadKind::ALL {
             let mut fs = EphemeralFs::new();
-            let started = Instant::now();
             let result = execute(&WorkloadRequest::new(kind, 42), &mut fs);
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             table.row(&[
                 kind.name().to_string(),
                 format!("{:.1}", kind.vcpus()),
                 format!("{:016x}", result.checksum),
                 result.work_units.to_string(),
-                format!("{elapsed_ms:.1}"),
                 kind.description().chars().take(60).collect(),
             ]);
         }

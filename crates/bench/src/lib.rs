@@ -4,14 +4,14 @@
 //! [`registry::Experiment`] (see `src/experiments/`), enumerable and
 //! runnable through one multiplexer: `skyward exp list | run <name>... |
 //! run --all`. Shared experiment plumbing lives in this library
-//! (seeded worlds, [`ScenarioBuilder`], the parallel [`sweep`] runner)
-//! alongside Criterion micro-benchmarks in `benches/`. Every experiment
-//! renders the same rows/series the paper reports; `EXPERIMENTS.md`
-//! records paper-vs-measured for each.
+//! (seeded worlds, [`ScenarioBuilder`], the parallel [`sweep`] runner).
+//! Every experiment renders the same rows/series the paper reports;
+//! `EXPERIMENTS.md` records paper-vs-measured for each.
 //!
-//! Experiments honour the `SKY_SCALE` environment variable (`full`, the
-//! default, or `quick` for a fast smoke run at reduced sample counts);
-//! unknown values are rejected with an error rather than silently mapped.
+//! An experiment's text is a pure function of its name, [`Scale`] and
+//! seed, all taken from the command line: the crate reads neither the
+//! clock nor the environment. Host-time measurement lives in
+//! `perfbench/`.
 
 pub mod exec_modes;
 pub mod experiments;
@@ -36,7 +36,7 @@ use sky_core::{
 pub enum Scale {
     /// Paper-scale sample counts (the default).
     Full,
-    /// Reduced counts for smoke runs (`SKY_SCALE=quick`).
+    /// Reduced counts for smoke runs (`--scale quick`).
     Quick,
 }
 
@@ -51,17 +51,6 @@ impl Scale {
             other => Err(format!(
                 "unknown scale {other:?} (expected \"quick\" or \"full\")"
             )),
-        }
-    }
-
-    /// Read the scale from the `SKY_SCALE` environment variable.
-    /// Unset means [`Scale::Full`]; a set-but-invalid value is an error,
-    /// never a silent fallback.
-    pub fn from_env() -> Result<Scale, String> {
-        match std::env::var("SKY_SCALE") {
-            Ok(value) => Scale::parse(&value).map_err(|e| format!("SKY_SCALE: {e}")),
-            Err(std::env::VarError::NotPresent) => Ok(Scale::Full),
-            Err(e) => Err(format!("SKY_SCALE: {e}")),
         }
     }
 

@@ -9,11 +9,11 @@
 //! CI smoke step and `run_experiments.sh` all enumerate [`all`] instead
 //! of a hand-maintained binary list.
 //!
-//! Determinism contract: an experiment's rendered text is a pure
-//! function of `(scale, seed)` — byte-identical for any `--jobs` value —
-//! unless [`Experiment::deterministic`] says otherwise (host wall-clock
-//! benchmarks). The golden harness in `crates/bench/tests/golden.rs`
-//! enforces this at quick scale for every deterministic experiment.
+//! Determinism contract: every experiment's rendered text is a pure
+//! function of `(scale, seed)` — byte-identical for any `--jobs` value.
+//! No experiment reads the clock or the environment. The golden harness
+//! in `crates/bench/tests/golden.rs` enforces this at quick scale for
+//! every registered experiment.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -109,13 +109,6 @@ pub trait Experiment: Sync {
     fn params(&self, scale: Scale) -> Vec<(&'static str, String)> {
         let _ = scale;
         Vec::new()
-    }
-
-    /// Whether the rendered text is a pure function of `(scale, seed)`.
-    /// Host wall-clock benchmarks return `false` and are excluded from
-    /// the byte-identity golden gate.
-    fn deterministic(&self) -> bool {
-        true
     }
 
     /// Run the experiment, rendering its report into `ctx` and finishing

@@ -39,46 +39,11 @@ impl Jobs {
         self.0
     }
 
-    /// Resolve the worker count for an experiment binary: the `--jobs N`
-    /// (or `--jobs=N`) command-line flag wins, then the `SKY_JOBS`
-    /// environment variable, then the machine's available parallelism —
-    /// so `skyward exp run --all` saturates the host by default.
-    pub fn from_env() -> Jobs {
-        Jobs::resolve(
-            std::env::args(),
-            std::env::var("SKY_JOBS").ok(),
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
-    /// The precedence behind [`Jobs::from_env`], split out so the
-    /// argv → `SKY_JOBS` → parallelism chain is testable without
-    /// touching process state. Unparseable values fall through to the
-    /// next source rather than erroring (the CLI's `--jobs` parser is
-    /// the strict layer).
-    fn resolve(
-        argv: impl IntoIterator<Item = String>,
-        sky_jobs: Option<String>,
-        parallelism: usize,
-    ) -> Jobs {
-        let mut args = argv.into_iter();
-        while let Some(arg) = args.next() {
-            if arg == "--jobs" {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    return Jobs::new(n);
-                }
-            } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                if let Ok(n) = v.parse() {
-                    return Jobs::new(n);
-                }
-            }
-        }
-        if let Some(n) = sky_jobs.and_then(|v| v.parse().ok()) {
-            return Jobs::new(n);
-        }
-        Jobs::new(parallelism)
+    /// One worker per hardware thread the host makes available: the
+    /// `--jobs` default, so `skyward exp run --all` saturates the host.
+    /// Output does not depend on it.
+    pub fn host() -> Jobs {
+        Jobs::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 
@@ -171,49 +136,5 @@ mod tests {
     fn jobs_clamps_to_one() {
         assert_eq!(Jobs::new(0).get(), 1);
         assert_eq!(Jobs::serial().get(), 1);
-    }
-
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn jobs_resolution_precedence() {
-        // No flag, no env: the machine's parallelism wins — this is the
-        // `skyward exp run --all` default.
-        assert_eq!(Jobs::resolve(argv(&["skyward"]), None, 6).get(), 6);
-        // SKY_JOBS beats the parallelism fallback.
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward"]), Some("3".into()), 6).get(),
-            3
-        );
-        // Both `--jobs N` and `--jobs=N` beat SKY_JOBS.
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward", "--jobs", "2"]), Some("3".into()), 6).get(),
-            2
-        );
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward", "--jobs=4"]), Some("3".into()), 6).get(),
-            4
-        );
-    }
-
-    #[test]
-    fn jobs_resolution_skips_unparseable_sources() {
-        // A malformed flag value falls through to SKY_JOBS...
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward", "--jobs", "lots"]), Some("3".into()), 6).get(),
-            3
-        );
-        // ...and a malformed SKY_JOBS falls through to parallelism.
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward"]), Some("none".into()), 6).get(),
-            6
-        );
-        // Zero still clamps to one worker.
-        assert_eq!(
-            Jobs::resolve(argv(&["skyward", "--jobs", "0"]), None, 6).get(),
-            1
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! The golden harness: the one place simulator output is compared with
 //! checked-in bytes.
 //!
-//! - *Quick gate:* every deterministic registry experiment runs through
+//! - *Quick gate:* every registry experiment runs through
 //!   `registry::run_many` on two workers (the fan-out path `skyward exp
 //!   run --all` takes) and must match `tests/golden/exp/<name>_quick.txt`.
 //! - *Jobs matrix:* the experiments that sweep cells internally must
@@ -12,8 +12,8 @@
 //!   8 workers.
 //! - *Scenarios:* a two-day regional-routing run and a four-poll
 //!   sampling campaign must match `tests/golden/<scenario>_quick.txt`.
-//! - *Full scale* (`--ignored`): every deterministic experiment must
-//!   match its committed `results/<name>.txt`.
+//! - *Full scale* (`--ignored`): every experiment must match its
+//!   committed `results/<name>.txt`.
 //!
 //! Every `verdict:` line must end in `PASS` before its text is compared
 //! or rewritten, so a regenerated file can never pin a failed claim.
@@ -32,7 +32,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use sky_bench::exec_modes::fig_exec_modes_with_metrics;
-use sky_bench::registry::{self, Experiment};
+use sky_bench::registry;
 use sky_bench::report::{render_report, report_snapshot};
 use sky_bench::sweep::Jobs;
 use sky_bench::{
@@ -150,19 +150,15 @@ fn assert_clean(failures: Vec<String>) {
     );
 }
 
-/// Run every deterministic experiment through the `run_many` fan-out
-/// and return the texts by name, recording failed runs.
-fn run_deterministic(
+/// Run every registry experiment through the `run_many` fan-out and
+/// return the texts by name, recording failed runs.
+fn run_registry(
     scale: Scale,
     jobs: Jobs,
     failures: &mut Vec<String>,
 ) -> Vec<(&'static str, String)> {
-    let exps: Vec<&'static dyn Experiment> = registry::all()
-        .iter()
-        .copied()
-        .filter(|e| e.deterministic())
-        .collect();
-    let outcomes = registry::run_many(&exps, scale, jobs, WORLD_SEED);
+    let exps = registry::all();
+    let outcomes = registry::run_many(exps, scale, jobs, WORLD_SEED);
     let names: Vec<&str> = outcomes.iter().map(|(name, _)| *name).collect();
     let expected: Vec<&str> = exps.iter().map(|e| e.name()).collect();
     assert_eq!(names, expected, "run_many reordered the experiments");
@@ -179,7 +175,7 @@ fn run_deterministic(
 #[test]
 fn golden_registry_experiments_quick() {
     let mut failures = Vec::new();
-    let gate: BTreeMap<&str, String> = run_deterministic(Scale::Quick, Jobs::new(2), &mut failures)
+    let gate: BTreeMap<&str, String> = run_registry(Scale::Quick, Jobs::new(2), &mut failures)
         .into_iter()
         .collect();
     for (name, text) in &gate {
@@ -189,7 +185,6 @@ fn golden_registry_experiments_quick() {
 
     for name in SWEPT {
         let exp = registry::find(name).expect("registered");
-        assert!(exp.deterministic(), "{name} must be golden-gated");
         let Some(reference) = gate.get(name) else {
             continue;
         };
@@ -205,15 +200,13 @@ fn golden_registry_experiments_quick() {
         }
     }
 
-    // A snapshot without a deterministic experiment behind it is stale.
+    // A snapshot without an experiment behind it is stale.
     for entry in fs::read_dir(repo_path("tests/golden/exp")).expect("golden dir") {
         let file = entry.expect("golden entry").file_name();
         let file = file.to_string_lossy();
         let name = file.strip_suffix("_quick.txt").unwrap_or(&file);
-        if !registry::find(name).is_some_and(|e| e.deterministic()) {
-            failures.push(format!(
-                "tests/golden/exp/{file} has no deterministic experiment"
-            ));
+        if registry::find(name).is_none() {
+            failures.push(format!("tests/golden/exp/{file} has no experiment"));
         }
     }
     assert_clean(failures);
@@ -365,7 +358,7 @@ fn golden_sampling_campaign() {
 #[ignore = "full scale; run with `cargo test --release -p sky-bench --test golden -- --ignored`"]
 fn golden_results_full() {
     let mut failures = Vec::new();
-    for (name, text) in run_deterministic(Scale::Full, Jobs::from_env(), &mut failures) {
+    for (name, text) in run_registry(Scale::Full, Jobs::host(), &mut failures) {
         failures.extend(check(&repo_path(&format!("results/{name}.txt")), &text).err());
     }
     assert_clean(failures);

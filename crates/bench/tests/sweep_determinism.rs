@@ -1,41 +1,11 @@
-//! The sweep runner's core guarantee, end to end: a multi-cell registry
-//! experiment produces byte-identical output at any job count.
+//! `run_many`'s two strategies, end to end: fanning experiments out
+//! over workers and looping over them serially produce byte-identical
+//! output. (Each swept experiment's own jobs invariance is the golden
+//! harness's jobs matrix.)
 
 use sky_bench::registry::{self, Experiment};
 use sky_bench::sweep::Jobs;
 use sky_bench::{Scale, WORLD_SEED};
-
-fn output_with_jobs(exp: &dyn Experiment, jobs: usize) -> String {
-    registry::run_experiment(exp, Scale::Quick, Jobs::new(jobs), WORLD_SEED)
-        .unwrap_or_else(|e| panic!("{} with {jobs} job(s) failed: {e}", exp.name()))
-        .text
-}
-
-#[test]
-fn fig5_parallel_output_is_byte_identical_to_serial() {
-    let exp = registry::find("fig5_progressive_sampling").expect("fig5 is registered");
-    let serial = output_with_jobs(exp, 1);
-    assert!(!serial.is_empty(), "fig5 printed nothing");
-    for jobs in [2, 4] {
-        assert_eq!(
-            serial,
-            output_with_jobs(exp, jobs),
-            "fig5 output differs between --jobs=1 and --jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn ablation_parallel_output_is_byte_identical_to_serial() {
-    let exp = registry::find("ablation_staleness").expect("ablation_staleness is registered");
-    let serial = output_with_jobs(exp, 1);
-    assert!(!serial.is_empty(), "ablation_staleness printed nothing");
-    assert_eq!(
-        serial,
-        output_with_jobs(exp, 4),
-        "ablation_staleness output differs between --jobs=1 and --jobs=4"
-    );
-}
 
 #[test]
 fn run_many_parallel_fanout_matches_serial_loop() {

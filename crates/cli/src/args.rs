@@ -26,6 +26,13 @@ pub enum ArgsError {
         /// Expected type description.
         expected: String,
     },
+    /// A flag the command does not read.
+    UnknownFlag {
+        /// Flag name.
+        flag: String,
+        /// The flags the command reads.
+        accepted: &'static [&'static str],
+    },
 }
 
 impl std::fmt::Display for ArgsError {
@@ -39,11 +46,28 @@ impl std::fmt::Display for ArgsError {
             } => {
                 write!(f, "--{flag}={value:?} is not a valid {expected}")
             }
+            ArgsError::UnknownFlag { flag, accepted: [] } => {
+                write!(f, "unknown flag --{flag}; this command takes no flags")
+            }
+            ArgsError::UnknownFlag { flag, accepted } => {
+                let accepted = accepted.join(" --");
+                write!(
+                    f,
+                    "unknown flag --{flag}; this command accepts --{accepted}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for ArgsError {}
+
+/// The CLI reports every error as text.
+impl From<ArgsError> for String {
+    fn from(e: ArgsError) -> String {
+        e.to_string()
+    }
+}
 
 impl Args {
     /// Parse raw arguments, treating the named flags as boolean
@@ -84,6 +108,18 @@ impl Args {
     /// Number of positionals.
     pub fn n_positionals(&self) -> usize {
         self.positionals.len()
+    }
+
+    /// Reject any flag outside `accepted`, so a typo such as `--sed 7`
+    /// fails instead of running with the default.
+    pub fn expect_flags(&self, accepted: &'static [&'static str]) -> Result<(), ArgsError> {
+        match self.flags.keys().find(|f| !accepted.contains(&f.as_str())) {
+            None => Ok(()),
+            Some(flag) => Err(ArgsError::UnknownFlag {
+                flag: flag.clone(),
+                accepted,
+            }),
+        }
     }
 
     /// Raw string flag.

@@ -1,32 +1,13 @@
 //! `skyward` — command-line driver for the serverless sky-computing
-//! toolkit.
-//!
-//! ```text
-//! skyward world        [--seed N]
-//! skyward workloads
-//! skyward exp          list | describe <name>
-//! skyward exp          run <name>... | run --all
-//!                      [--scale quick|full] [--jobs N] [--seed N]
-//!                      [--out DIR]
-//! skyward characterize <az>[,<az>...] [--polls N] [--jobs N] [--seed N] [--json]
-//!                      [--stream]
-//! skyward saturate     <az> [--seed N]
-//! skyward profile      <workload> <az> [--runs N] [--seed N]
-//! skyward route        <workload> --baseline <az> [--candidates a,b,c]
-//!                      [--policy baseline|regional|retry-slow|focus|hybrid
-//!                       |ucb-az|thompson-az]
-//!                      [--burst N] [--seed N]
-//! skyward report       [--jobs N] [--scale quick|full] [--seed N]
-//!                      [--format table|prom|json]
-//! skyward lint         [--root PATH] [--format human|json]
-//! ```
+//! toolkit. `skyward help` lists the commands and the flags each one
+//! reads; any other flag exits 2.
 //!
 //! Everything runs against the seeded simulator; the same seed always
 //! reproduces the same world and the same numbers.
 
 mod args;
 
-use args::Args;
+use args::{Args, ArgsError};
 use sky_bench::registry;
 use sky_bench::sweep::{self, Jobs};
 use sky_bench::Scale;
@@ -55,42 +36,52 @@ fn main() {
 }
 
 fn run(raw: Vec<String>) -> Result<(), String> {
-    let args = Args::parse_with_switches(
-        raw,
-        &["all", "json", "verbose", "fix-pragmas", "write", "stream"],
-    )
-    .map_err(|e| e.to_string())?;
-    let seed = args.flag_u64("seed", 42).map_err(|e| e.to_string())?;
+    let args = Args::parse_with_switches(raw, &["all", "json", "fix-pragmas", "write", "stream"])?;
     match args.positional(0) {
-        None | Some("help") | Some("--help") => {
+        None | Some("help") => {
+            args.expect_flags(&[])?;
             print_help();
             Ok(())
         }
         Some("world") => {
             expect_arity(&args, 1)?;
-            cmd_world(seed)
+            args.expect_flags(&["seed"])?;
+            cmd_world(seed(&args)?)
         }
-        Some("workloads") => cmd_workloads(),
-        Some("exp") => cmd_exp(&args, seed),
+        Some("workloads") => {
+            expect_arity(&args, 1)?;
+            args.expect_flags(&[])?;
+            cmd_workloads()
+        }
+        Some("exp") => cmd_exp(&args),
         Some("characterize") => {
             expect_arity(&args, 2)?;
-            cmd_characterize(&args, seed)
+            args.expect_flags(&["polls", "jobs", "seed", "json", "stream"])?;
+            cmd_characterize(&args, seed(&args)?)
         }
         Some("saturate") => {
             expect_arity(&args, 2)?;
-            cmd_saturate(&args, seed)
+            args.expect_flags(&["seed"])?;
+            cmd_saturate(&args, seed(&args)?)
         }
         Some("profile") => {
             expect_arity(&args, 3)?;
-            cmd_profile(&args, seed)
+            args.expect_flags(&["runs", "seed"])?;
+            cmd_profile(&args, seed(&args)?)
         }
-        Some("route") => cmd_route(&args, seed),
+        Some("route") => {
+            expect_arity(&args, 2)?;
+            args.expect_flags(&["baseline", "candidates", "policy", "burst", "seed"])?;
+            cmd_route(&args, seed(&args)?)
+        }
         Some("report") => {
             expect_arity(&args, 1)?;
-            cmd_report(&args, seed)
+            args.expect_flags(&["jobs", "scale", "seed", "format"])?;
+            cmd_report(&args, seed(&args)?)
         }
         Some("lint") => {
             expect_arity(&args, 1)?;
+            args.expect_flags(&["root", "format", "fix-pragmas", "write"])?;
             cmd_lint(&args)
         }
         Some(other) => Err(format!("unknown command {other:?}")),
@@ -114,6 +105,11 @@ fn expect_arity(args: &Args, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// `--seed N`, default 42, for the commands that build a seeded world.
+fn seed(args: &Args) -> Result<u64, ArgsError> {
+    args.flag_u64("seed", 42)
+}
+
 fn print_help() {
     println!(
         "skyward — serverless sky computing toolkit (simulated cloud)\n\
@@ -124,24 +120,24 @@ fn print_help() {
          \x20 exp          list                       the registered experiments\n\
          \x20 exp          describe <name>            one experiment's parameters\n\
          \x20 exp          run <name>... | run --all  run experiments through the\n\
-         \x20              [--scale quick|full] [--jobs N] [--out DIR]\n\
-         \x20                                         registry (writes DIR/<name>.txt\n\
-         \x20                                         per experiment, else stdout)\n\
+         \x20              [--scale quick|full]       registry (writes DIR/<name>.txt\n\
+         \x20              [--jobs N] [--seed N]      per experiment, else stdout)\n\
+         \x20              [--out DIR]\n\
          \x20 characterize <az>[,<az>...] [--polls N] estimate zones' CPU mixes\n\
-         \x20              [--jobs N]                 (zones characterized in parallel)\n\
-         \x20              [--stream]                 follow the campaign with observed\n\
-         \x20                                         production traffic through the\n\
-         \x20                                         streaming estimator (EWMA + CUSUM)\n\
-         \x20 saturate     <az>                       poll a zone to its failure point\n\
+         \x20              [--jobs N] [--seed N]      (zones characterized in parallel)\n\
+         \x20              [--json] [--stream]        --stream: follow the campaign with\n\
+         \x20                                         observed production traffic through\n\
+         \x20                                         the streaming estimator (EWMA + CUSUM)\n\
+         \x20 saturate     <az> [--seed N]            poll a zone to its failure point\n\
          \x20 profile      <workload> <az> [--runs N] per-CPU runtimes for a workload\n\
+         \x20              [--seed N]\n\
          \x20 route        <workload> --baseline <az> [--candidates a,b,c]\n\
          \x20              [--policy baseline|regional|retry-slow|focus|hybrid\n\
          \x20               |ucb-az|thompson-az]\n\
-         \x20              [--burst N]                compare a policy against the baseline\n\
-         \x20 report       [--jobs N] [--scale quick|full] [--format table|prom|json]\n\
-         \x20                                         deterministic metrics rollup of the\n\
-         \x20                                         standard experiments (per-AZ and\n\
-         \x20                                         per-policy breakdowns)\n\
+         \x20              [--burst N] [--seed N]     compare a policy against the baseline\n\
+         \x20 report       [--jobs N] [--seed N]      deterministic metrics rollup of the\n\
+         \x20              [--scale quick|full]       standard experiments (per-AZ and\n\
+         \x20              [--format table|prom|json] per-policy breakdowns)\n\
          \x20 lint         [--root PATH] [--format human|json]\n\
          \x20                                         determinism lint, one parse per\n\
          \x20                                         file (rules D001-D011; exits 1\n\
@@ -150,13 +146,10 @@ fn print_help() {
          \x20                                         (P002); prints a diff, applies\n\
          \x20                                         only with --write\n\
          \n\
-         global flags: --seed N (default 42), --json on characterize,\n\
-         \x20             --jobs N (worker threads for exp run and multi-zone\n\
-         \x20             characterize; defaults to SKY_JOBS, then the machine's\n\
-         \x20             available parallelism)\n\
-         count flags:  --polls 1..={MAX_POLLS} (default 6), --runs 1..={MAX_RUNS}\n\
-         \x20             (default 600), --burst 1..={MAX_BURST} (default 400);\n\
-         \x20             other values exit 2"
+         defaults:     --seed 42, --scale full, --jobs the host's available\n\
+         \x20             parallelism; --polls 1..={MAX_POLLS} (default 6), --runs\n\
+         \x20             1..={MAX_RUNS} (default 600), --burst 1..={MAX_BURST} (default 400)\n\
+         exit 2:       a flag the command does not list, or a value out of range"
     );
 }
 
@@ -227,17 +220,10 @@ fn cmd_characterize(args: &Args, seed: u64) -> Result<(), String> {
     if azs.is_empty() {
         return Err("characterize needs at least one <az>".into());
     }
-    let polls = args
-        .flag_count("polls", 6, MAX_POLLS)
-        .map_err(|e| e.to_string())? as usize;
+    let polls = args.flag_count("polls", 6, MAX_POLLS)? as usize;
     let json = args.flag("json").is_some();
     let stream = args.flag("stream").is_some();
-    // `Jobs::from_env` also honours `--jobs N` from argv, but routing it
-    // through the parser gives proper errors for bad values.
-    let jobs = match args.flag("jobs") {
-        Some(_) => Jobs::new(args.flag_u64("jobs", 1).map_err(|e| e.to_string())? as usize),
-        None => Jobs::from_env(),
-    };
+    let jobs = resolve_jobs(args)?;
 
     // Each zone is an independent sweep cell with its own seeded engine,
     // so multi-zone characterizations fan out over `--jobs` threads and
@@ -446,9 +432,7 @@ fn cmd_saturate(args: &Args, seed: u64) -> Result<(), String> {
 fn cmd_profile(args: &Args, seed: u64) -> Result<(), String> {
     let kind = parse_workload(args.positional(1).ok_or("profile needs a <workload>")?)?;
     let az = parse_az(args.positional(2).ok_or("profile needs an <az>")?)?;
-    let runs = args
-        .flag_count("runs", 600, MAX_RUNS)
-        .map_err(|e| e.to_string())? as usize;
+    let runs = args.flag_count("runs", 600, MAX_RUNS)? as usize;
     let mut engine = engine_for(seed);
     let account = engine.create_account(Provider::Aws);
     let dep = engine
@@ -483,39 +467,37 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve `--scale` (or `SKY_SCALE`) through the one strict parser:
-/// near-misses like `Quick` or `ful` are errors, not silent fallbacks.
+/// `--scale`, default `full`, through the one strict parser: near-misses
+/// like `Quick` or `ful` are errors, not silent fallbacks.
 fn resolve_scale(args: &Args) -> Result<Scale, String> {
-    match args.flag("scale") {
-        Some(value) => Scale::parse(value),
-        None => Scale::from_env(),
-    }
+    Scale::parse(args.flag("scale").unwrap_or("full"))
 }
 
-/// Resolve `--jobs`, falling back to `SKY_JOBS` / machine parallelism.
-fn resolve_jobs(args: &Args) -> Result<Jobs, String> {
-    match args.flag("jobs") {
-        Some(_) => Ok(Jobs::new(
-            args.flag_u64("jobs", 1).map_err(|e| e.to_string())? as usize,
-        )),
-        None => Ok(Jobs::from_env()),
-    }
+/// `--jobs N`, default one worker per host hardware thread.
+fn resolve_jobs(args: &Args) -> Result<Jobs, ArgsError> {
+    let host = Jobs::host().get() as u64;
+    Ok(Jobs::new(args.flag_u64("jobs", host)? as usize))
 }
 
 /// `skyward exp` — the experiment registry multiplexer. Replaces the 24
 /// former one-off binaries: every figure/table/ablation is a registered
 /// [`registry::Experiment`] run through one entry point.
-fn cmd_exp(args: &Args, seed: u64) -> Result<(), String> {
+fn cmd_exp(args: &Args) -> Result<(), String> {
     match args.positional(1) {
         None | Some("list") => {
             expect_arity(args, 2)?;
+            args.expect_flags(&[])?;
             cmd_exp_list()
         }
         Some("describe") => {
             expect_arity(args, 3)?;
+            args.expect_flags(&[])?;
             cmd_exp_describe(args)
         }
-        Some("run") => cmd_exp_run(args, seed),
+        Some("run") => {
+            args.expect_flags(&["all", "scale", "jobs", "seed", "out"])?;
+            cmd_exp_run(args, seed(args)?)
+        }
         Some(other) => Err(format!(
             "unknown exp subcommand {other:?} (list|describe|run)"
         )),
@@ -525,14 +507,10 @@ fn cmd_exp(args: &Args, seed: u64) -> Result<(), String> {
 fn cmd_exp_list() -> Result<(), String> {
     let mut table = Table::new(
         format!("registered experiments ({})", registry::all().len()),
-        &["name", "golden", "description"],
+        &["name", "description"],
     );
     for exp in registry::all() {
-        table.row(&[
-            exp.name().to_string(),
-            if exp.deterministic() { "yes" } else { "-" }.to_string(),
-            exp.description().to_string(),
-        ]);
+        table.row(&[exp.name().to_string(), exp.description().to_string()]);
     }
     println!("{}", table.render());
     println!("run one with `skyward exp run <name>`, everything with `skyward exp run --all`.");
@@ -543,14 +521,6 @@ fn cmd_exp_describe(args: &Args) -> Result<(), String> {
     let name = args.positional(2).ok_or("describe needs an <experiment>")?;
     let exp = registry::find(name).ok_or_else(|| unknown_experiment(name))?;
     println!("{}: {}", exp.name(), exp.description());
-    println!(
-        "deterministic: {} (byte-identical for any --jobs at a fixed scale and seed)",
-        if exp.deterministic() {
-            "yes"
-        } else {
-            "no — wall-clock measurements"
-        }
-    );
     for scale in [Scale::Full, Scale::Quick] {
         let params = exp.params(scale);
         if params.is_empty() {
@@ -577,10 +547,6 @@ fn unknown_experiment(name: &str) -> String {
     )
 }
 
-// Timing the experiment runs is a deliberate wall-clock read; the cli
-// crate is on the sky-lint D002 allowlist, and the clippy ban is lifted
-// to match.
-#[allow(clippy::disallowed_methods)]
 fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
     let scale = resolve_scale(args)?;
     let jobs = resolve_jobs(args)?;
@@ -609,6 +575,8 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
         scale.name(),
         jobs.get()
     );
+    #[allow(clippy::disallowed_methods)]
+    // sky-lint: allow(D002, the run timer goes to stderr only; no experiment text reads it)
     let started = std::time::Instant::now();
     let outcomes = registry::run_many(&exps, scale, jobs, seed);
     let elapsed = started.elapsed().as_secs_f64();
@@ -711,9 +679,7 @@ fn cmd_route(args: &Args, seed: u64) -> Result<(), String> {
     if candidates.is_empty() {
         candidates.push(baseline_az.clone());
     }
-    let burst = args
-        .flag_count("burst", 400, MAX_BURST)
-        .map_err(|e| e.to_string())? as usize;
+    let burst = args.flag_count("burst", 400, MAX_BURST)? as usize;
     let policy_name = args.flag("policy").unwrap_or("hybrid");
     let policy = match policy_name {
         "baseline" => RoutingPolicy::Baseline {
@@ -814,4 +780,20 @@ fn cmd_route(args: &Args, seed: u64) -> Result<(), String> {
         router.store.total_cost_usd()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        for line in ["world --sed 7", "exp list --scal quick", "workloads --json"] {
+            let argv = line.split_whitespace().map(String::from).collect();
+            let err = run(argv).expect_err(line);
+            assert!(err.starts_with("unknown flag --"), "{line}: {err}");
+        }
+        let err = run(vec!["world".into(), "--sed".into(), "7".into()]).unwrap_err();
+        assert_eq!(err, "unknown flag --sed; this command accepts --seed");
+    }
 }

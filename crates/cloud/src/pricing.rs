@@ -62,6 +62,14 @@ impl PriceBook {
         let secs = billed.billed_millis() as f64 / 1000.0;
         gb * secs * rate.usd_per_gb_s + rate.usd_per_request
     }
+
+    /// Round a dollar amount to integer nano-dollars: the one conversion
+    /// by which an `f64` cost enters integer state (engine metrics,
+    /// bandit rewards, shard digests), so sums over it are order-free.
+    #[inline]
+    pub fn nano_usd(usd: f64) -> u64 {
+        (usd * 1e9).round() as u64
+    }
 }
 
 #[cfg(test)]

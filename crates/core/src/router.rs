@@ -17,7 +17,7 @@
 use crate::profiler::RuntimeTable;
 use crate::store::CharacterizationStore;
 use serde::{Deserialize, Serialize};
-use sky_cloud::{AzId, Catalog, CpuSet, CpuType, GeoPoint, LatencyModel};
+use sky_cloud::{AzId, Catalog, CpuSet, CpuType, GeoPoint, LatencyModel, PriceBook};
 use sky_faas::{
     BatchRequest, DeploymentId, FaasEngine, InvocationOutcome, RequestBody, WorkloadSpec,
 };
@@ -239,12 +239,6 @@ pub fn savings_fraction(baseline_cost: f64, optimized_cost: f64) -> f64 {
     }
 }
 
-/// Integer nano-USD conversion — the same rounding the engine's metered
-/// billing uses, so bandit reward state stays integer.
-fn nano_usd(cost: f64) -> u64 {
-    (cost * 1e9).round() as u64
-}
-
 /// Pulls an arm's reward window covers. Windowed statistics track
 /// drifting zones instead of averaging over a stale past (the
 /// sliding-window UCB variant for non-stationary bandits).
@@ -407,7 +401,10 @@ impl SmartRouter {
     fn record_bandit(&self, report: &BurstReport) {
         let mut state = self.bandit.borrow_mut();
         let arm = state.arms.entry(report.az.clone()).or_default();
-        arm.record(report.completed as u64, nano_usd(report.total_cost_usd()));
+        arm.record(
+            report.completed as u64,
+            PriceBook::nano_usd(report.total_cost_usd()),
+        );
     }
 
     /// Export the router's placement metrics as a mergeable snapshot.

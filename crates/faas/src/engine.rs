@@ -332,13 +332,6 @@ impl AzMetricHandles {
     }
 }
 
-/// Round a dollar amount to integer nano-dollars — the only place an
-/// f64 cost meets the metrics layer, so shard sums are order-free.
-#[inline]
-pub(crate) fn nano_usd(cost: f64) -> u64 {
-    (cost * 1e9).round() as u64
-}
-
 /// A batch request flattened for the dispatch loop: the deployment
 /// record is resolved once per batch (not once per attempt) and the
 /// body is `Copy`, so arrivals and retries allocate nothing.
@@ -1054,8 +1047,10 @@ impl FaasEngine {
         // mode (its deployment's), so the slices partition the total.
         self.metrics
             .add(handles.billed_mb_us_mode[mode.index()], billed_mb_us);
-        self.metrics
-            .add(handles.cost_nanousd, nano_usd(cost) + nano_usd(retry_cost));
+        self.metrics.add(
+            handles.cost_nanousd,
+            PriceBook::nano_usd(cost) + PriceBook::nano_usd(retry_cost),
+        );
 
         if self.observe_completions {
             if let InvocationStatus::Success(report) = &status {

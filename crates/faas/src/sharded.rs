@@ -39,10 +39,10 @@
 //! This is the standard conservative-simulation compromise and is — like
 //! everything else here — independent of the shard count.
 
-use crate::engine::{nano_usd, FaasEngine, FleetConfig};
+use crate::engine::{FaasEngine, FleetConfig};
 use crate::ids::DeploymentId;
 use crate::request::{BatchRequest, InvocationOutcome, InvocationStatus, RequestBody};
-use sky_cloud::{Arch, AzId, Catalog, GeoPoint, LatencyModel};
+use sky_cloud::{Arch, AzId, Catalog, GeoPoint, LatencyModel, PriceBook};
 use sky_sim::{SimDuration, SimRng, SimTime};
 
 /// Window length used when the fleet has a single lane (no cross-lane
@@ -231,7 +231,7 @@ impl Lane {
         h = fnv_fold_u64(h, outcome.finished.as_micros());
         h = fnv_fold(h, &[status_code(&outcome.status)]);
         h = fnv_fold_u64(h, outcome.billed.as_micros());
-        h = fnv_fold_u64(h, nano_usd(outcome.cost_usd));
+        h = fnv_fold_u64(h, PriceBook::nano_usd(outcome.cost_usd));
         h = fnv_fold_u64(h, outcome.attempts as u64);
         self.digest = h;
     }

@@ -1,5 +1,5 @@
-//! D002 dirty fixture: wall-clock reads outside the bench/cli
-//! allowlist (linted as if at `crates/sim-core/src/...`).
+//! D002 dirty fixture: wall-clock reads with no pragma saying why
+//! (linted as if at `crates/sim-core/src/...`).
 
 use std::time::{Instant, SystemTime};
 

@@ -45,7 +45,7 @@ pub mod rules;
 pub mod semantic;
 
 pub use pragma::{Pragma, PragmaError};
-pub use rules::{Finding, RULE_IDS, SIM_CRATES, WALLCLOCK_ALLOWLIST};
+pub use rules::{Finding, RULE_IDS, SIM_CRATES};
 
 use std::fs;
 use std::io;

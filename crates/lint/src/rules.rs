@@ -18,7 +18,7 @@
 //! | rule | reads | invariant |
 //! |------|-------|-----------|
 //! | D001 | tokens | no `HashMap`/`HashSet` in sim-affecting crates (iteration order leaks into event order) |
-//! | D002 | tokens | no wall clock (`Instant::now`, `SystemTime::now`) outside `bench`/`cli` |
+//! | D002 | tokens | no wall clock (`Instant::now`, `SystemTime::now`) anywhere without a pragma saying why |
 //! | D003 | tokens | no ambient entropy (`thread_rng`, `rand::random`, `from_entropy`, `OsRng`, `getrandom`) anywhere |
 //! | D004 | fn facts | no duplicate `SimRng::derive("label")` literals within one function body |
 //! | D005 | tokens | no float `+=`/`.sum()` accumulation over money identifiers in sim-affecting crates |
@@ -42,10 +42,6 @@ pub const RULE_IDS: [&str; 11] = [
 /// simulation — the D001/D005 scope.
 pub const SIM_CRATES: [&str; 6] = ["sim-core", "cloud", "core", "faas", "mesh", "workloads"];
 
-/// Crates allowed to read the wall clock (host-side measurement and
-/// interactive tooling — never simulation state).
-pub const WALLCLOCK_ALLOWLIST: [&str; 2] = ["bench", "cli"];
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -68,8 +64,6 @@ pub struct Finding {
 pub(crate) struct FileScope {
     /// Inside one of [`SIM_CRATES`] (D001/D005 apply).
     pub sim: bool,
-    /// Inside the wall-clock allowlist (D002 does not apply).
-    pub wallclock_allowed: bool,
     /// Inside a crate that may run parallel code over sim results — the
     /// sim crates plus `bench`, home of the sweep runner and the sharded
     /// fleet driver (the D007 and D011 scope).
@@ -82,7 +76,6 @@ pub(crate) fn scope_of(rel_path: &str) -> FileScope {
     let sim = SIM_CRATES.contains(&krate);
     FileScope {
         sim,
-        wallclock_allowed: WALLCLOCK_ALLOWLIST.contains(&krate),
         parallel: sim || krate == "bench",
     }
 }
@@ -98,9 +91,7 @@ pub(crate) fn file_findings(toks: &[Token], model: &FileModel) -> Vec<Finding> {
         rule_d001_hash_collections(path, toks, &mut raw);
         rule_d005_float_money(path, toks, &mut raw);
     }
-    if !scope.wallclock_allowed {
-        rule_d002_wall_clock(path, toks, &mut raw);
-    }
+    rule_d002_wall_clock(path, toks, &mut raw);
     rule_d003_ambient_entropy(path, toks, &mut raw);
     rule_d004_duplicate_stream_labels(model, &mut raw);
     rule_d006_serialized_hash_maps(toks, model, &mut raw);
@@ -149,9 +140,10 @@ fn rule_d001_hash_collections(path: &str, toks: &[Token], out: &mut Vec<Finding>
     }
 }
 
-/// D002 — wall-clock reads outside the bench/cli allowlist. Simulated
-/// components must take time from `SimTime`; a single `Instant::now`
-/// in a sim crate makes replay machine-dependent.
+/// D002 — wall-clock reads, in every crate. Simulated components must
+/// take time from `SimTime`: a single `Instant::now` in a sim crate
+/// makes replay machine-dependent, and one in an experiment does the
+/// same to its text. A host-side timer states why in a pragma.
 fn rule_d002_wall_clock(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
     for i in 0..toks.len() {
         let Tok::Ident(name) = &toks[i].tok else {
@@ -169,10 +161,10 @@ fn rule_d002_wall_clock(path: &str, toks: &[Token], out: &mut Vec<Finding>) {
                     col: toks[i].col,
                     rule: "D002",
                     message: format!(
-                        "wall-clock read `{name}::now` outside the bench/cli allowlist"
+                        "wall-clock read `{name}::now`: host time makes output machine-dependent"
                     ),
-                    hint: "simulated components take time from `SimTime`; host-side timing \
-                           belongs in crates/bench or crates/cli"
+                    hint: "simulated components take time from `SimTime`; a host-side timer \
+                           needs `// sky-lint: allow(D002, <reason>)`"
                         .to_string(),
                 },
             );
@@ -480,6 +472,22 @@ mod tests {
              }",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn d002_applies_in_bench_and_cli_until_a_pragma_says_why() {
+        for path in ["crates/bench/src/x.rs", "crates/cli/src/main.rs"] {
+            let f = lint_source(path, "fn f() { let t = Instant::now(); }");
+            assert_eq!(sites(&f), [("D002", 1, 18)], "{path}");
+            let f = lint_source(
+                path,
+                "fn f() {\n\
+                     // sky-lint: allow(D002, host-side run timer)\n\
+                     let t = Instant::now();\n\
+                 }",
+            );
+            assert!(f.is_empty(), "{path}: {f:?}");
+        }
     }
 
     #[test]

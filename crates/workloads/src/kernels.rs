@@ -10,7 +10,8 @@
 //! In the FaaS simulator the *billed duration* of a workload comes from
 //! [`crate::perf_model`] (base runtime × CPU factor × contention ×
 //! noise); the kernels exist so the library is a real implementation, for
-//! unit/integration testing, and for the Criterion kernel benchmarks.
+//! unit/integration testing, and for Table 1's checksum and work-unit
+//! columns (`table1_workloads`).
 
 use crate::base64;
 use crate::bitmap::Bitmap;

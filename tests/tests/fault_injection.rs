@@ -309,7 +309,7 @@ fn full_scale_resilient_domination() {
     use sky_bench::faults::fig_faults_rows;
     use sky_bench::sweep::Jobs;
     use sky_bench::{Scale, WORLD_SEED};
-    for row in fig_faults_rows(Scale::Full, Jobs::from_env(), WORLD_SEED) {
+    for row in fig_faults_rows(Scale::Full, Jobs::host(), WORLD_SEED) {
         assert!(
             row.resilient.goodput > row.baseline.goodput,
             "{}: resilient {:.3} vs baseline {:.3}",

@@ -7,7 +7,7 @@
 use sky_bench::registry;
 use sky_bench::sweep::Jobs;
 use sky_bench::{Scale, WORLD_SEED};
-use sky_cloud::{Arch, Catalog, Provider};
+use sky_cloud::{Arch, Catalog, PriceBook, Provider};
 use sky_core::{
     CharacterizationStore, Characterizer, PollConfig, RouterConfig, RoutingPolicy, SmartRouter,
     StreamingCharacterizer, StreamingConfig, WorkloadProfiler,
@@ -111,7 +111,7 @@ fn bandit_policies_are_deterministic_and_find_the_cheap_zone() {
                 deployments.get(z).copied()
             });
             visits.push(report.az.clone());
-            cost_nanousd += (report.total_cost_usd() * 1e9).round() as u64;
+            cost_nanousd += PriceBook::nano_usd(report.total_cost_usd());
         }
         (visits, cost_nanousd)
     };
