@@ -329,12 +329,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn rows_are_jobs_invariant() {
-        let seed = crate::WORLD_SEED;
-        let serial = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial(), seed));
-        let parallel = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(4), seed));
-        assert_eq!(serial, parallel);
-    }
 }

@@ -277,14 +277,6 @@ mod tests {
     use crate::WORLD_SEED;
 
     #[test]
-    fn report_snapshot_is_jobs_invariant() {
-        let serial = report_snapshot(Scale::Quick, Jobs::serial(), WORLD_SEED);
-        let parallel = report_snapshot(Scale::Quick, Jobs::new(4), WORLD_SEED);
-        assert_eq!(serial.to_prometheus_text(), parallel.to_prometheus_text());
-        assert_eq!(serial.to_json(), parallel.to_json());
-    }
-
-    #[test]
     fn report_tables_cover_experiment_zones() {
         let snap = report_snapshot(Scale::Quick, Jobs::serial(), WORLD_SEED);
         let rendered = render_report(&snap);

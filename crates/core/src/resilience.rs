@@ -18,7 +18,7 @@ use crate::store::CharacterizationStore;
 use serde::{Deserialize, Serialize};
 use sky_cloud::AzId;
 use sky_faas::{BatchRequest, DeploymentId, FaasEngine, RequestBody, WorkloadSpec};
-use sky_sim::{MetricsRegistry, MetricsSnapshot, SimDuration, SimRng, SimTime};
+use sky_sim::{MetricHandle, MetricsRegistry, MetricsSnapshot, SimDuration, SimRng, SimTime};
 use sky_workloads::WorkloadKind;
 use std::collections::BTreeMap;
 
@@ -255,6 +255,76 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// The client's per-zone counters, each labelled with its zone.
+#[derive(Debug, Clone, Copy)]
+enum Counter {
+    Placements,
+    Attempts,
+    Hedges,
+    Retries,
+    Timeouts,
+    OpenToClosed,
+    HalfOpenToClosed,
+    ClosedToOpen,
+    HalfOpenToOpen,
+}
+
+impl Counter {
+    const COUNT: usize = 9;
+
+    /// The metric name and the labels besides `az`.
+    fn identity(self) -> (&'static str, &'static [(&'static str, &'static str)]) {
+        match self {
+            Counter::Placements => ("placements", &[]),
+            Counter::Attempts => ("attempts", &[]),
+            Counter::Hedges => ("hedges", &[]),
+            Counter::Retries => ("retries", &[]),
+            Counter::Timeouts => ("timeouts", &[]),
+            Counter::OpenToClosed => ("breaker_transitions", &[("from", "open"), ("to", "closed")]),
+            Counter::HalfOpenToClosed => (
+                "breaker_transitions",
+                &[("from", "half-open"), ("to", "closed")],
+            ),
+            Counter::ClosedToOpen => ("breaker_transitions", &[("from", "closed"), ("to", "open")]),
+            Counter::HalfOpenToOpen => (
+                "breaker_transitions",
+                &[("from", "half-open"), ("to", "open")],
+            ),
+        }
+    }
+}
+
+/// A zone's circuit breaker and its counter handles.
+#[derive(Debug)]
+struct ZoneState {
+    breaker: CircuitBreaker,
+    /// Indexed by `Counter`. A handle is registered on the counter's
+    /// first increment: registering all of them up front would add
+    /// zero-valued series to the snapshot.
+    counters: [Option<MetricHandle>; Counter::COUNT],
+}
+
+impl ZoneState {
+    fn new(breaker: BreakerConfig) -> Self {
+        ZoneState {
+            breaker: CircuitBreaker::new(breaker),
+            counters: [None; Counter::COUNT],
+        }
+    }
+
+    /// Add `n` to this zone's `counter`.
+    fn bump(&mut self, metrics: &mut MetricsRegistry, az: &AzId, counter: Counter, n: u64) {
+        let handle = *self.counters[counter as usize].get_or_insert_with(|| {
+            let (name, extra) = counter.identity();
+            let az = az.to_string();
+            let mut labels = vec![("az", az.as_str())];
+            labels.extend_from_slice(extra);
+            metrics.counter("resilience", name, &labels)
+        });
+        metrics.add(handle, n);
+    }
+}
+
 /// The resilient client: a [`SmartRouter`] plus failure handling.
 #[derive(Debug)]
 pub struct ResilientClient {
@@ -262,7 +332,7 @@ pub struct ResilientClient {
     pub router: SmartRouter,
     /// Resilience tunables.
     pub config: ResilienceConfig,
-    breakers: BTreeMap<AzId, CircuitBreaker>,
+    zones: BTreeMap<AzId, ZoneState>,
     metrics: MetricsRegistry,
 }
 
@@ -280,7 +350,7 @@ impl ResilientClient {
         ResilientClient {
             router,
             config,
-            breakers: BTreeMap::new(),
+            zones: BTreeMap::new(),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -309,9 +379,9 @@ impl ResilientClient {
 
     /// The breaker state for `az` at `now` (absent zones are `Closed`).
     pub fn breaker_state(&self, az: &AzId, now: SimTime) -> BreakerState {
-        self.breakers
+        self.zones
             .get(az)
-            .map(|b| b.state(now))
+            .map(|z| z.breaker.state(now))
             .unwrap_or(BreakerState::Closed)
     }
 
@@ -322,7 +392,12 @@ impl ResilientClient {
         let now = engine.now();
         let allowed: Vec<AzId> = candidates
             .iter()
-            .filter(|az| self.breakers.get(az).map(|b| b.allows(now)).unwrap_or(true))
+            .filter(|az| {
+                self.zones
+                    .get(az)
+                    .map(|z| z.breaker.allows(now))
+                    .unwrap_or(true)
+            })
             .cloned()
             .collect();
         let pool: &[AzId] = if allowed.is_empty() {
@@ -388,14 +463,23 @@ impl ResilientClient {
         let mut attempts_used: Vec<u32> = vec![0; n];
 
         let mut pending: Vec<usize> = (0..n).collect();
-        let mut hedge_queue: Vec<usize> = Vec::new();
+        // Per-round scratch, sized once: a round serves at most `n`
+        // slots, since a request is either pending or queued for its
+        // one hedge.
+        let mut retry_round: Vec<usize> = Vec::with_capacity(n);
+        let mut hedge_queue: Vec<usize> = Vec::with_capacity(n);
+        let mut slots: Vec<Slot> = Vec::with_capacity(n);
+        let mut round_latencies: Vec<f64> = Vec::with_capacity(n);
+        let mut round_successes: Vec<(usize, SimDuration)> = Vec::with_capacity(n);
         let mut round = 0u32;
         loop {
-            let retry_round: Vec<usize> = pending
-                .iter()
-                .copied()
-                .filter(|&i| attempts_used[i] < self.config.max_attempts)
-                .collect();
+            retry_round.clear();
+            retry_round.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&i| attempts_used[i] < self.config.max_attempts),
+            );
             if retry_round.is_empty() && hedge_queue.is_empty() {
                 break;
             }
@@ -404,12 +488,14 @@ impl ResilientClient {
                 engine.advance_by(delay);
             }
             let az = self.choose_az(kind, candidates, engine);
-            let az_name = az.to_string();
-            self.metrics
-                .incr("resilience", "placements", &[("az", az_name.as_str())], 1);
+            let zone = self
+                .zones
+                .entry(az.clone())
+                .or_insert_with(|| ZoneState::new(self.config.breaker));
+            zone.bump(&mut self.metrics, &az, Counter::Placements, 1);
             let deployment = resolve(&az)
                 .unwrap_or_else(|| panic!("no deployment resolvable in chosen zone {az}"));
-            let mut slots: Vec<Slot> = Vec::with_capacity(retry_round.len() + hedge_queue.len());
+            slots.clear();
             let mut requests: Vec<BatchRequest> =
                 Vec::with_capacity(retry_round.len() + hedge_queue.len());
             for &i in retry_round.iter().chain(hedge_queue.iter()) {
@@ -431,34 +517,22 @@ impl ResilientClient {
             let outcomes = engine.run_batch(requests);
             report.finished = report.finished.max(engine.now());
 
-            let breaker = self
-                .breakers
-                .entry(az.clone())
-                .or_insert_with(|| CircuitBreaker::new(self.config.breaker));
-            let trips_before = breaker.trips();
-            let mut round_latencies: Vec<f64> = Vec::new();
-            let mut round_successes: Vec<(usize, SimDuration)> = Vec::new();
+            let trips_before = zone.breaker.trips();
+            let mut round_attempts = 0u64;
+            round_latencies.clear();
+            round_successes.clear();
             for (slot, o) in slots.iter().zip(outcomes.iter()) {
                 let i = slot.request;
-                report.attempts += o.attempts as u64;
-                *report.attempts_by_az.entry(az.clone()).or_default() += o.attempts as u64;
+                round_attempts += o.attempts as u64;
                 // sky-lint: allow(D005, slot-ordered f64 USD fold for the burst report; metered billing stays integer nano-USD in metrics)
                 report.total_cost_usd += o.cost_usd + o.retry_cost_usd;
-                self.metrics.incr(
-                    "resilience",
-                    "attempts",
-                    &[("az", az_name.as_str())],
-                    o.attempts as u64,
-                );
                 if slot.hedge {
                     report.hedges += 1;
-                    self.metrics
-                        .incr("resilience", "hedges", &[("az", az_name.as_str())], 1);
+                    zone.bump(&mut self.metrics, &az, Counter::Hedges, 1);
                 } else {
                     attempts_used[i] += 1;
                     if attempts_used[i] > 1 {
-                        self.metrics
-                            .incr("resilience", "retries", &[("az", az_name.as_str())], 1);
+                        zone.bump(&mut self.metrics, &az, Counter::Retries, 1);
                     }
                     if first_issue[i].is_none() {
                         first_issue[i] = Some(o.arrived);
@@ -467,24 +541,18 @@ impl ResilientClient {
                 let attempt_latency = o.finished.saturating_since(o.arrived);
                 let ok = o.status.is_success() && attempt_latency <= timeout;
                 if o.status.is_success() && attempt_latency > timeout {
-                    self.metrics
-                        .incr("resilience", "timeouts", &[("az", az_name.as_str())], 1);
+                    zone.bump(&mut self.metrics, &az, Counter::Timeouts, 1);
                 }
                 if ok {
-                    let before = breaker.state(o.finished);
-                    breaker.on_success();
-                    if before != BreakerState::Closed {
-                        let from = match before {
-                            BreakerState::Open => "open",
-                            BreakerState::HalfOpen => "half-open",
-                            BreakerState::Closed => unreachable!(),
-                        };
-                        self.metrics.incr(
-                            "resilience",
-                            "breaker_transitions",
-                            &[("az", az_name.as_str()), ("from", from), ("to", "closed")],
-                            1,
-                        );
+                    let before = zone.breaker.state(o.finished);
+                    zone.breaker.on_success();
+                    let transition = match before {
+                        BreakerState::Closed => None,
+                        BreakerState::Open => Some(Counter::OpenToClosed),
+                        BreakerState::HalfOpen => Some(Counter::HalfOpenToClosed),
+                    };
+                    if let Some(counter) = transition {
+                        zone.bump(&mut self.metrics, &az, counter, 1);
                     }
                     if slot.hedge {
                         // Keep the fastest attempt's latency.
@@ -498,32 +566,30 @@ impl ResilientClient {
                         round_latencies.push(attempt_latency.as_millis_f64());
                     }
                 } else if !slot.hedge {
-                    let before = breaker.state(o.finished);
-                    breaker.on_failure(o.finished);
-                    if before != BreakerState::Open
-                        && breaker.state(o.finished) == BreakerState::Open
-                    {
-                        let from = match before {
-                            BreakerState::Closed => "closed",
-                            BreakerState::HalfOpen => "half-open",
-                            BreakerState::Open => unreachable!(),
+                    let before = zone.breaker.state(o.finished);
+                    zone.breaker.on_failure(o.finished);
+                    if zone.breaker.state(o.finished) == BreakerState::Open {
+                        let transition = match before {
+                            BreakerState::Open => None,
+                            BreakerState::Closed => Some(Counter::ClosedToOpen),
+                            BreakerState::HalfOpen => Some(Counter::HalfOpenToOpen),
                         };
-                        self.metrics.incr(
-                            "resilience",
-                            "breaker_transitions",
-                            &[("az", az_name.as_str()), ("from", from), ("to", "open")],
-                            1,
-                        );
+                        if let Some(counter) = transition {
+                            zone.bump(&mut self.metrics, &az, counter, 1);
+                        }
                     }
                 }
             }
-            report.breaker_trips += breaker.trips() - trips_before;
+            report.attempts += round_attempts;
+            *report.attempts_by_az.entry(az.clone()).or_default() += round_attempts;
+            zone.bump(&mut self.metrics, &az, Counter::Attempts, round_attempts);
+            report.breaker_trips += zone.breaker.trips() - trips_before;
 
             // Hedge the slow tail of this round's fresh successes.
             if let Some(p) = self.config.hedge_percentile {
                 if round_latencies.len() >= 2 {
                     let cut = percentile(&round_latencies, p);
-                    for (i, l) in round_successes {
+                    for &(i, l) in &round_successes {
                         if l.as_millis_f64() > cut && !hedged[i] {
                             hedged[i] = true;
                             hedge_queue.push(i);

@@ -251,33 +251,30 @@ struct ZoneEstimate {
 }
 
 impl ZoneEstimate {
-    fn shares_x10k(&self) -> BTreeMap<CpuType, i64> {
+    /// Each CPU's share of the weight mass (x10 000), in CPU order;
+    /// nothing while the mass is zero.
+    fn shares(&self) -> impl Iterator<Item = (CpuType, i64)> + '_ {
         let total: u64 = self.weights.values().sum();
-        if total == 0 {
-            return BTreeMap::new();
-        }
         self.weights
             .iter()
-            .map(|(&c, &w)| (c, (w * 10_000 / total) as i64))
-            .collect()
+            .filter_map(move |(&c, &w)| Some((c, (w * 10_000).checked_div(total)? as i64)))
     }
 
     /// Total-variation distance (x10 000) between the current shares and
-    /// the reference.
+    /// the reference. It runs once per observation, so it folds the
+    /// shares as they come instead of collecting them: start from the
+    /// whole reference mass, which counts where no current share meets
+    /// it, and trade each met reference share `r` for `|s - r|`.
     fn tv_from_reference_x10k(&self) -> i64 {
         let Some(reference) = &self.reference else {
             return 0;
         };
-        let current = self.shares_x10k();
-        let mut sum = 0_i64;
-        for (&c, &s) in &current {
-            sum += (s - reference.get(&c).copied().unwrap_or(0)).abs();
-        }
-        for (&c, &s) in reference {
-            if !current.contains_key(&c) {
-                sum += s;
-            }
-        }
+        let sum = self
+            .shares()
+            .fold(reference.values().sum::<i64>(), |sum, (c, s)| {
+                let r = reference.get(&c).copied().unwrap_or(0);
+                sum + (s - r).abs() - r
+            });
         sum / 2
     }
 
@@ -287,7 +284,7 @@ impl ZoneEstimate {
             .map(|(c, share)| (c, (share * SCALE as f64) as u64))
             .filter(|&(_, w)| w > 0)
             .collect();
-        self.reference = Some(self.shares_x10k());
+        self.reference = Some(self.shares().collect());
         self.cusum = 0;
         self.fired = false;
         self.since_reset = 0;
@@ -365,7 +362,7 @@ impl Characterizer for StreamingCharacterizer {
             // Self-seeded zone: lock the reference once the estimate has
             // warmed up, then arm the detector.
             if zone.since_reset >= self.config.warmup {
-                zone.reference = Some(zone.shares_x10k());
+                zone.reference = Some(zone.shares().collect());
                 zone.cusum = 0;
             }
             return;
@@ -709,6 +706,100 @@ mod tests {
             !chr.wants_probe(&zone, SimTime::from_micros(300)),
             "budget exhausted: detector fire requests nothing"
         );
+    }
+
+    /// The map-building TV formula, kept as the reference for
+    /// `tv_from_reference_x10k`: collect the current shares into a map,
+    /// then walk both maps.
+    fn map_building_tv_x10k(zone: &ZoneEstimate) -> i64 {
+        let Some(reference) = &zone.reference else {
+            return 0;
+        };
+        let current = map_building_shares_x10k(zone);
+        let mut sum = 0_i64;
+        for (&c, &s) in &current {
+            sum += (s - reference.get(&c).copied().unwrap_or(0)).abs();
+        }
+        for (&c, &s) in reference {
+            if !current.contains_key(&c) {
+                sum += s;
+            }
+        }
+        sum / 2
+    }
+
+    fn map_building_shares_x10k(zone: &ZoneEstimate) -> BTreeMap<CpuType, i64> {
+        let total: u64 = zone.weights.values().sum();
+        if total == 0 {
+            return BTreeMap::new();
+        }
+        zone.weights
+            .iter()
+            .map(|(&c, &w)| (c, (w * 10_000 / total) as i64))
+            .collect()
+    }
+
+    /// Property: the in-place TV distance equals the map-building
+    /// formula on random weight and reference maps, including empty
+    /// weights, disjoint CPU sets and zero shares.
+    #[test]
+    fn tv_distance_matches_map_building_reference() {
+        let mut rng = SimRng::seed_from(42).derive("tv-reference");
+        let (mut empty, mut disjoint, mut zero_weight, mut zero_share) = (0, 0, 0, 0);
+        for case in 0..4_000 {
+            let mut zone = ZoneEstimate::default();
+            let mut reference = BTreeMap::new();
+            for cpu in CpuType::ALL {
+                // Each CPU sits in neither map, one of them, or both.
+                let membership = rng.next_below(4);
+                if membership & 1 == 1 {
+                    let w = match rng.next_below(3) {
+                        0 => 0,
+                        1 => rng.range_inclusive(1, 10),
+                        _ => rng.range_inclusive(1, 4 * SCALE),
+                    };
+                    zone.weights.insert(cpu, w);
+                }
+                if membership & 2 == 2 {
+                    let s = match rng.next_below(3) {
+                        0 => 0,
+                        _ => rng.range_inclusive(1, 10_000) as i64,
+                    };
+                    reference.insert(cpu, s);
+                }
+            }
+            match case % 16 {
+                0 => {} // no reference yet
+                1 => {
+                    zone.weights.clear();
+                    zone.reference = Some(reference);
+                }
+                _ => zone.reference = Some(reference),
+            }
+            empty += u32::from(zone.weights.is_empty());
+            disjoint += u32::from(
+                zone.reference
+                    .as_ref()
+                    .is_some_and(|r| r.keys().all(|c| !zone.weights.contains_key(c))),
+            );
+            zero_weight += u32::from(zone.weights.values().any(|&w| w == 0));
+            zero_share += u32::from(zone.reference.iter().flatten().any(|(_, &s)| s == 0));
+            assert_eq!(
+                zone.tv_from_reference_x10k(),
+                map_building_tv_x10k(&zone),
+                "case {case}: weights {:?}, reference {:?}",
+                zone.weights,
+                zone.reference
+            );
+        }
+        for (what, hits) in [
+            ("empty weights", empty),
+            ("disjoint CPU sets", disjoint),
+            ("zero weights", zero_weight),
+            ("zero reference shares", zero_share),
+        ] {
+            assert!(hits >= 50, "only {hits} cases with {what}");
+        }
     }
 
     #[test]

@@ -377,12 +377,18 @@ impl ShardedFleet {
             );
             let id = self.next_id;
             self.next_id += 1;
-            self.lanes[req.lane].push_pending(PendingArrival {
+            self.lanes[req.lane].pending.push(PendingArrival {
                 at: req.at,
                 id,
                 hops: 0,
                 body: req.body,
             });
+        }
+        // One sort per inbox: an ordered insert per request shifts the
+        // inbox, quadratic in a wave. Ids are unique, so `(at, id)` is a
+        // total order and any sort gives the same inbox.
+        for lane in &mut self.lanes {
+            lane.pending.sort_unstable_by_key(|p| (p.at, p.id));
         }
         let window_us = self.window.as_micros();
         let mut windows = 0u64;

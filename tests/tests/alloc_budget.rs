@@ -1,15 +1,21 @@
-//! Allocation budget of the engine's per-request path.
+//! Allocation budgets of the engine's per-request path and of the
+//! resilient client's path over it.
 //!
-//! DESIGN.md §6 states how often the engine allocates per request; this
-//! test turns that prose into a gate. A counting global allocator, local
-//! to this test binary, counts the allocations of one `run_batch` call on
-//! the calling thread. The count is a pure function of the seed and the
-//! code, so the gate does not depend on the host. A regression such as
-//! allocating each new FI's uuid as a string pushes it over the budget.
+//! DESIGN.md §6 states how often the engine allocates per request; these
+//! tests turn that prose into gates. A counting global allocator, local
+//! to this test binary, counts the allocations made on the calling
+//! thread. The count is a pure function of the seed and the code, so the
+//! gates do not depend on the host. A regression such as allocating each
+//! new FI's uuid as a string, or keying a per-outcome counter by string,
+//! pushes a count over its budget.
 
 use sky_cloud::{Arch, AzId, Catalog, Provider};
-use sky_faas::{BatchRequest, FaasEngine, FleetConfig, RequestBody};
+use sky_core::{
+    Characterizer, ResilienceConfig, ResilientClient, StreamingCharacterizer, StreamingConfig,
+};
+use sky_faas::{BatchRequest, DeploymentId, FaasEngine, FleetConfig, RequestBody};
 use sky_sim::SimDuration;
+use sky_workloads::WorkloadKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -80,5 +86,63 @@ fn first_sleep_batch_allocates_under_one_per_request() {
     assert!(
         per_request < BUDGET,
         "run_batch made {per_request:.2} allocations per request (budget {BUDGET})"
+    );
+}
+
+/// Twenty resilient bursts of 40 requests over two zones, alternating
+/// two workloads, with the observation hook on and every burst's reports
+/// folded into the streaming characterizer: the per-outcome path of
+/// perfbench's chaos_modes. One warm-up burst first registers the
+/// client's counters and fills the engine's reusable buffers. The budget
+/// covers each round's batch and outcome vectors, the engine's work
+/// under them and the drained reports; the resilience counters, the
+/// drift fold and the round buffers allocate nothing per outcome.
+#[test]
+fn resilient_bursts_allocate_under_three_and_a_half_per_request() {
+    const BURSTS: usize = 20;
+    const N: usize = 40;
+    const BUDGET: f64 = 3.5;
+    let seed = 42;
+    let mut engine = FaasEngine::new(Catalog::paper_world(seed), FleetConfig::new(seed));
+    let account = engine.create_account(Provider::Aws);
+    let zones: Vec<AzId> = ["us-east-2a", "us-west-1a"]
+        .iter()
+        .map(|name| name.parse().unwrap())
+        .collect();
+    let deployments: Vec<DeploymentId> = zones
+        .iter()
+        .map(|az| engine.deploy(account, az, 2048, Arch::X86_64).unwrap())
+        .collect();
+    engine.set_observation_hook(true);
+    let mut client = ResilientClient::with_defaults(ResilienceConfig::default());
+    let mut streaming = StreamingCharacterizer::new(StreamingConfig::default());
+    let kinds = [WorkloadKind::Sha1Hash, WorkloadKind::JsonFlattener];
+    // One burst, then its reports into the characterizer and a gap.
+    let mut burst = |engine: &mut FaasEngine, kind| {
+        let report = client.run_burst(engine, kind, N, &zones, |az| {
+            zones.iter().position(|z| z == az).map(|i| deployments[i])
+        });
+        for az in &zones {
+            for saaf in engine.take_observations(az) {
+                streaming.observe(az, &saaf);
+            }
+        }
+        engine.advance_by(SimDuration::from_mins(3));
+        report.completed
+    };
+    burst(&mut engine, kinds[0]);
+    let before = allocations();
+    let completed: usize = (0..BURSTS)
+        .map(|b| burst(&mut engine, kinds[b % kinds.len()]))
+        .sum();
+    let per_request = (allocations() - before) as f64 / (BURSTS * N) as f64;
+    assert_eq!(completed, BURSTS * N, "every request completes");
+    assert!(
+        streaming.observations(&zones[0]) > 0,
+        "the observation hook fed the characterizer"
+    );
+    assert!(
+        per_request < BUDGET,
+        "resilient bursts made {per_request:.2} allocations per request (budget {BUDGET})"
     );
 }
