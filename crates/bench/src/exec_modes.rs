@@ -27,8 +27,8 @@ use sky_core::cloud::{Arch, AzId, CpuSet, CpuType};
 use sky_core::faas::{
     BatchRequest, ExecMode, ExecProfile, InvocationOutcome, PoolPolicy, RequestBody, WorkloadSpec,
 };
-use sky_core::percentile;
 use sky_core::sim::series::Table;
+use sky_core::sim::stats::percentile;
 use sky_core::sim::{MetricsSnapshot, SimDuration};
 use sky_core::workloads::WorkloadKind;
 
@@ -223,8 +223,8 @@ pub fn run_mode_arm(arm: ModeArm, scale: Scale, seed: u64) -> (ModeRow, MetricsS
         restored: count("restored_starts"),
         branched: count("branched_starts"),
         warm: count("warm_starts"),
-        p50_ms: percentile(&ms, 0.50),
-        p95_ms: percentile(&ms, 0.95),
+        p50_ms: percentile(&ms, 0.50).unwrap_or(0.0),
+        p95_ms: percentile(&ms, 0.95).unwrap_or(0.0),
         cold_p50_ms: dispatch_p50_ms(&snap, "dispatch_cold_us", "us-east-2a"),
         restore_p50_ms: dispatch_p50_ms(&snap, "dispatch_restore_us", "us-east-2a"),
         warm_p50_ms: dispatch_p50_ms(&snap, "dispatch_warm_us", "us-east-2a"),

@@ -71,8 +71,8 @@ pub use characterization::Characterization;
 pub use cost::CostLedger;
 pub use profiler::{ProfileRun, RuntimeTable, WorkloadProfiler};
 pub use resilience::{
-    percentile, BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, ResilienceConfig,
-    ResilientClient, ResilientReport,
+    BackoffPolicy, BreakerConfig, BreakerState, CircuitBreaker, ResilienceConfig, ResilientClient,
+    ResilientReport,
 };
 pub use router::{
     savings_fraction, BurstReport, RetryMode, RouterConfig, RoutingPolicy, SmartRouter,

@@ -18,6 +18,7 @@ use crate::store::CharacterizationStore;
 use serde::{Deserialize, Serialize};
 use sky_cloud::AzId;
 use sky_faas::{BatchRequest, DeploymentId, FaasEngine, RequestBody, WorkloadSpec};
+use sky_sim::stats::percentile;
 use sky_sim::{MetricHandle, MetricsRegistry, MetricsSnapshot, SimDuration, SimRng, SimTime};
 use sky_workloads::WorkloadKind;
 use std::collections::BTreeMap;
@@ -241,18 +242,6 @@ pub struct ResilientReport {
     pub attempts_by_az: BTreeMap<AzId, u64>,
     /// When the burst finished.
     pub finished: SimTime,
-}
-
-/// `p`-th percentile (0 ≤ p ≤ 1) of an unsorted sample by the
-/// nearest-rank method; 0 on an empty sample.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// The client's per-zone counters, each labelled with its zone.
@@ -588,7 +577,7 @@ impl ResilientClient {
             // Hedge the slow tail of this round's fresh successes.
             if let Some(p) = self.config.hedge_percentile {
                 if round_latencies.len() >= 2 {
-                    let cut = percentile(&round_latencies, p);
+                    let cut = percentile(&round_latencies, p).expect("two or more latencies");
                     for &(i, l) in &round_successes {
                         if l.as_millis_f64() > cut && !hedged[i] {
                             hedged[i] = true;
@@ -608,8 +597,8 @@ impl ResilientClient {
             .flatten()
             .map(|l| l.as_millis_f64())
             .collect();
-        report.p50_ms = percentile(&completed_ms, 0.50);
-        report.p99_ms = percentile(&completed_ms, 0.99);
+        report.p50_ms = percentile(&completed_ms, 0.50).unwrap_or(0.0);
+        report.p99_ms = percentile(&completed_ms, 0.99).unwrap_or(0.0);
         report
     }
 }
@@ -682,11 +671,12 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
+        // The hedge cut and the report's p50/p99 rank an unsorted sample.
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&xs, 0.5), 3.0);
-        assert_eq!(percentile(&xs, 1.0), 5.0);
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&xs, 0.5), Some(3.0));
+        assert_eq!(percentile(&xs, 1.0), Some(5.0));
+        assert_eq!(percentile(&xs, 0.0), Some(1.0));
+        assert_eq!(percentile(&[], 0.5), None);
     }
 
     #[test]

@@ -515,11 +515,6 @@ impl FaasEngine {
         self.events_processed
     }
 
-    /// The engine's live metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Span lifecycle accounting (opened/closed totals, open count).
     pub fn spans(&self) -> &SpanTracker {
         &self.spans
@@ -974,12 +969,6 @@ impl FaasEngine {
         }
     }
 
-    fn resolve(&mut self, idx: usize, outcome: InvocationOutcome) {
-        assert!(self.batch[idx].outcome.is_none(), "double resolution");
-        self.batch[idx].outcome = Some(outcome);
-        self.batch_pending -= 1;
-    }
-
     /// Terminal outcome assembly: folds in the retry accumulators,
     /// closes the request's span (phase durations must sum exactly to
     /// the end-to-end latency) and meters the terminal counters.
@@ -1058,7 +1047,9 @@ impl FaasEngine {
             }
         }
 
-        let outcome = InvocationOutcome {
+        let state = &mut self.batch[idx];
+        assert!(state.outcome.is_none(), "double resolution");
+        state.outcome = Some(InvocationOutcome {
             index: idx,
             arrived,
             finished,
@@ -1068,18 +1059,19 @@ impl FaasEngine {
             attempts: attempts.max(1),
             retry_billed,
             retry_cost_usd: retry_cost,
-        };
-        self.resolve(idx, outcome);
+        });
+        self.batch_pending -= 1;
     }
 
-    /// Zero the span components for an attempt that was shed before any
-    /// dispatch work (throttle, no-capacity): its end-to-end time is
-    /// pure routing.
-    fn shed_span_state(&mut self, idx: usize) {
+    /// Resolve an arrival before any dispatch work (result-cache replay,
+    /// quota, throttling storm, no capacity): unbilled, and its
+    /// end-to-end time is pure routing.
+    fn shed(&mut self, idx: usize, status: InvocationStatus) {
         let state = &mut self.batch[idx];
         state.span_dispatch = SimDuration::ZERO;
         state.span_exec = SimDuration::ZERO;
         state.span_class = StartClass::Warm;
+        self.resolve_final(idx, self.now, status, SimDuration::ZERO, 0.0);
     }
 
     fn handle_arrival(&mut self, idx: usize) {
@@ -1090,8 +1082,8 @@ impl FaasEngine {
             self.spans.open();
         }
         self.batch[idx].attempts += 1;
-        self.metrics
-            .add(self.az_metrics[req.az_idx as usize].attempts, 1);
+        let handles = self.az_metrics[req.az_idx as usize];
+        self.metrics.add(handles.attempts, 1);
         // Idempotent result cache: an unexpired cached report for this
         // exact workload is replayed at the edge — no quota, no
         // placement, no billing. (Expired entries are left for the next
@@ -1103,51 +1095,23 @@ impl FaasEngine {
                     Some((expires, report)) if arrived < *expires => Some(report.clone()),
                     _ => None,
                 };
-                let handles = self.az_metrics[req.az_idx as usize];
                 if let Some(mut report) = hit {
                     // A replay starts no container, whatever the
                     // original run did.
                     report.new_container = false;
                     self.metrics.add(handles.result_cache_hits, 1);
-                    self.shed_span_state(idx);
-                    self.resolve_final(
-                        idx,
-                        arrived,
-                        InvocationStatus::Success(report),
-                        SimDuration::ZERO,
-                        0.0,
-                    );
-                    return;
+                    return self.shed(idx, InvocationStatus::Success(report));
                 }
                 self.metrics.add(handles.result_cache_misses, 1);
             }
         }
-        // Concurrency quota.
-        let acct = &mut self.accounts[req.account as usize];
-        if acct.in_flight >= acct.quota {
-            self.shed_span_state(idx);
-            self.resolve_final(
-                idx,
-                arrived,
-                InvocationStatus::Throttled,
-                SimDuration::ZERO,
-                0.0,
-            );
-            return;
-        }
-        // Throttling storm: 429-style shed before any placement work, so
-        // a shed arrival consumes no capacity and holds no quota.
+        // The concurrency quota, then a throttling storm's 429-style
+        // shed: both before any placement work, so a shed arrival
+        // consumes no capacity and holds no quota.
+        let acct = &self.accounts[req.account as usize];
         let platform = &mut self.platforms[req.az_idx as usize];
-        if platform.throttle_rejects(arrived) {
-            self.shed_span_state(idx);
-            self.resolve_final(
-                idx,
-                arrived,
-                InvocationStatus::Throttled,
-                SimDuration::ZERO,
-                0.0,
-            );
-            return;
+        if acct.in_flight >= acct.quota || platform.throttle_rejects(arrived) {
+            return self.shed(idx, InvocationStatus::Throttled);
         }
         // Placement.
         let (instance_id, inst_slot, class) =
@@ -1161,15 +1125,7 @@ impl FaasEngine {
                             Event::ScaleCheck { az_idx: req.az_idx },
                         );
                     }
-                    self.shed_span_state(idx);
-                    self.resolve_final(
-                        idx,
-                        arrived,
-                        InvocationStatus::NoCapacity,
-                        SimDuration::ZERO,
-                        0.0,
-                    );
-                    return;
+                    return self.shed(idx, InvocationStatus::NoCapacity);
                 }
             };
         self.accounts[req.account as usize].in_flight += 1;
@@ -1183,32 +1139,42 @@ impl FaasEngine {
         // RNG draw, so pooled/restored traffic never perturbs the
         // exec stream consumed by legacy deployments.
         let platform = &self.platforms[req.az_idx as usize];
-        let dispatch = match class {
+        let storm = platform.cold_start_factor(arrived);
+        let (init, starts, hist) = match class {
             StartClass::Cold => {
                 let lo = self.config.cold_start_min.as_micros();
                 let hi = self.config.cold_start_max.as_micros();
-                SimDuration::from_micros(self.exec_rng.range_inclusive(lo, hi))
-                    .mul_f64(platform.cold_start_factor(arrived))
+                let init = SimDuration::from_micros(self.exec_rng.range_inclusive(lo, hi));
+                (
+                    init.mul_f64(storm),
+                    handles.cold_starts,
+                    handles.dispatch_cold_us,
+                )
             }
-            StartClass::Restored => self
-                .config
-                .restore_latency
-                .mul_f64(platform.cold_start_factor(arrived)),
-            StartClass::Branched => self.config.branch_latency,
-            StartClass::Pooled | StartClass::Warm => self.config.warm_dispatch,
-        } + platform.extra_dispatch_latency(arrived);
-        {
-            let handles = self.az_metrics[req.az_idx as usize];
-            let (starts, hist) = match class {
-                StartClass::Cold => (handles.cold_starts, handles.dispatch_cold_us),
-                StartClass::Restored => (handles.restored_starts, handles.dispatch_restore_us),
-                StartClass::Branched => (handles.branched_starts, handles.dispatch_restore_us),
-                StartClass::Pooled => (handles.pooled_starts, handles.dispatch_warm_us),
-                StartClass::Warm => (handles.warm_starts, handles.dispatch_warm_us),
-            };
-            self.metrics.add(starts, 1);
-            self.metrics.observe_duration(hist, dispatch);
-        }
+            StartClass::Restored => (
+                self.config.restore_latency.mul_f64(storm),
+                handles.restored_starts,
+                handles.dispatch_restore_us,
+            ),
+            StartClass::Branched => (
+                self.config.branch_latency,
+                handles.branched_starts,
+                handles.dispatch_restore_us,
+            ),
+            StartClass::Pooled => (
+                self.config.warm_dispatch,
+                handles.pooled_starts,
+                handles.dispatch_warm_us,
+            ),
+            StartClass::Warm => (
+                self.config.warm_dispatch,
+                handles.warm_starts,
+                handles.dispatch_warm_us,
+            ),
+        };
+        let dispatch = init + platform.extra_dispatch_latency(arrived);
+        self.metrics.add(starts, 1);
+        self.metrics.observe_duration(hist, dispatch);
 
         // Execution semantics. Gray degradation silently stretches
         // *workload* execution (sleeps are timer-bound and unaffected).
@@ -1225,7 +1191,16 @@ impl FaasEngine {
                 let b = duration + self.config.sleep_overhead;
                 (b, b, false)
             }
-            RequestBody::Workload { spec } => {
+            // A banned CPU responds right after the check and holds the FI
+            // busy for `hold`, so the reissue cannot land back here.
+            RequestBody::GatedWorkload { banned, hold, .. } if banned.contains(cpu) => {
+                (self.config.gate_check + hold, self.config.gate_check, true)
+            }
+            RequestBody::Workload { spec } | RequestBody::GatedWorkload { spec, .. } => {
+                let gate = match req.body {
+                    RequestBody::GatedWorkload { .. } => self.config.gate_check,
+                    _ => SimDuration::ZERO,
+                };
                 let decode = self.decode_overhead(
                     req.az_idx,
                     inst_slot,
@@ -1244,38 +1219,8 @@ impl FaasEngine {
                         &mut self.exec_rng,
                     )
                     .mul_f64(gray);
-                let b = decode + exec;
+                let b = gate + decode + exec;
                 (b, b, false)
-            }
-            RequestBody::GatedWorkload {
-                spec, banned, hold, ..
-            } => {
-                if banned.contains(cpu) {
-                    // Respond right after the check; hold the FI busy for
-                    // `hold` so the reissue cannot land back here.
-                    (self.config.gate_check + hold, self.config.gate_check, true)
-                } else {
-                    let decode = self.decode_overhead(
-                        req.az_idx,
-                        inst_slot,
-                        spec.payload_hash,
-                        spec.payload_bytes,
-                    );
-                    let exec = self
-                        .config
-                        .perf
-                        .duration(
-                            spec.kind,
-                            spec.scale,
-                            cpu,
-                            req.memory_mb,
-                            contention,
-                            &mut self.exec_rng,
-                        )
-                        .mul_f64(gray);
-                    let b = self.config.gate_check + decode + exec;
-                    (b, b, false)
-                }
             }
         };
         // The attempt that resolves the request defines its span's

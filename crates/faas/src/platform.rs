@@ -171,6 +171,100 @@ struct PoolState {
     window_arrivals: u64,
 }
 
+/// One deployment's platform state.
+#[derive(Debug, Default)]
+struct DeploymentState {
+    /// Execution profile ([`ExecProfile::default`] unless registered).
+    profile: ExecProfile,
+    /// LIFO stack of warm idle instances (most recently freed first,
+    /// mirroring Lambda's warm-routing preference). Each entry carries
+    /// the FI's slot; the id validates against slot reuse. Destroying an
+    /// FI leaves its entry behind: `claim` skips it, and `release` drops
+    /// such entries before a push would grow the stack.
+    warm: Vec<(InstanceId, SlotKey)>,
+    /// Busy (executing) instances: the burst-detection signal for the
+    /// warm-reuse probability.
+    busy: u32,
+    /// The live snapshot (at most one per `(az, function)`; re-capture
+    /// replaces an expired one).
+    snapshot: Option<Snapshot>,
+    /// Pre-warm pool (profile-enabled deployments only).
+    pool: Option<PoolState>,
+}
+
+impl DeploymentState {
+    /// Take the most recently idled valid FI of the pool for a `Pooled`
+    /// start, else of the warm stack, discarding the invalid entries above
+    /// it (see [`idle_entry`]); mark it busy and count the invocation.
+    fn claim(
+        &mut self,
+        class: StartClass,
+        instances: &mut Slab<Instance>,
+    ) -> Option<(InstanceId, SlotKey, StartClass)> {
+        let stack = match class {
+            StartClass::Pooled => &mut self.pool.as_mut()?.idle,
+            _ => &mut self.warm,
+        };
+        let (id, slot) = std::iter::from_fn(|| stack.pop()).find(|&e| idle_entry(instances, e))?;
+        let inst = instances.get_mut(slot).expect("validated by idle_entry");
+        inst.busy = true;
+        inst.invocations += 1;
+        self.busy += 1;
+        Some((id, slot, class))
+    }
+
+    /// The live (unexpired) snapshot, evicting it first if its TTL
+    /// lapsed. Eviction is lazy but monotone: once `now` passes `expires`
+    /// the snapshot can never serve again.
+    fn live_snapshot(
+        &mut self,
+        now: SimTime,
+        ledger: &mut SnapshotLedger,
+    ) -> Option<&mut Snapshot> {
+        if self.snapshot.is_some_and(|s| now >= s.expires) {
+            self.snapshot = None;
+            ledger.evicted += 1;
+            ledger.pending_evicted += 1;
+        }
+        self.snapshot.as_mut()
+    }
+
+    /// Capture a snapshot at release time for snapshotting modes, when
+    /// none is live. Re-capture over an expired snapshot first records
+    /// its eviction, keeping the eviction counter monotone.
+    fn maybe_capture_snapshot(&mut self, now: SimTime, ledger: &mut SnapshotLedger) {
+        let ttl = self.profile.snapshot_ttl;
+        if !self.profile.mode.snapshots()
+            || ttl == SimDuration::ZERO
+            || self.live_snapshot(now, ledger).is_some()
+        {
+            return;
+        }
+        self.snapshot = Some(Snapshot {
+            id: SnapshotId(ledger.next_id),
+            created: now,
+            expires: now + ttl,
+            restores: 0,
+            branches: 0,
+        });
+        ledger.next_id += 1;
+        ledger.pending_captured += 1;
+    }
+}
+
+/// A platform's snapshot lifecycle counters.
+#[derive(Debug, Default)]
+struct SnapshotLedger {
+    next_id: u64,
+    /// Monotone total of TTL evictions (never decreases: the property
+    /// suite's monotonicity witness).
+    evicted: u64,
+    /// Captures and evictions since the engine last drained them into the
+    /// metrics registry.
+    pending_captured: u64,
+    pending_evicted: u64,
+}
+
 /// What one [`AzPlatform::pool_tick`] did, for the engine's metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolTickStats {
@@ -199,29 +293,18 @@ pub struct AzPlatform {
     /// slot order, which is deterministic (a pure function of the
     /// create/destroy sequence, itself seed-determined).
     instances: Slab<Instance>,
-    /// LIFO stacks of warm idle instances per deployment (most recently
-    /// freed first, mirroring Lambda's warm-routing preference). Each
-    /// entry carries the FI's slot; the id validates against slot reuse.
-    /// Destroying an FI leaves its entry behind: `pop_valid_warm` skips
-    /// it, and `release` drops such entries before a push would grow the
-    /// stack.
-    warm_idle: BTreeMap<DeploymentId, Vec<(InstanceId, SlotKey)>>,
-    /// Busy (executing) instances per deployment — the burst-detection
-    /// signal for the warm-reuse probability.
-    busy_counts: BTreeMap<DeploymentId, u32>,
+    /// Per-deployment state. Sorted map: `pool_tick` iterates it, so its
+    /// order is event order.
+    deployments: BTreeMap<DeploymentId, DeploymentState>,
     /// Probability that a request arriving during a burst (other
     /// instances of the same deployment busy) reuses an idle warm FI
     /// rather than spreading to a fresh environment. Idle deployments
     /// always reuse. See `FleetConfig::warm_reuse_prob`.
     reuse_prob: f64,
-    /// Memory allocated to our FIs across all x86 hosts, MB.
-    fi_mem_used_x86: u64,
-    /// Memory allocated to our FIs across arm hosts, MB.
-    fi_mem_used_arm: u64,
-    /// Total x86 host memory, MB.
-    total_mem_x86: u64,
-    /// Total arm host memory, MB.
-    total_mem_arm: u64,
+    /// Memory allocated to our FIs, and total host memory, MB, per
+    /// architecture (indexed by `Arch as usize`).
+    fi_mem_used: [u64; 2],
+    total_mem: [u64; 2],
     /// Reactive hosts added beyond the baseline fleet.
     extra_hosts: u32,
     /// Capacity failures since the last scale check (scaling signal).
@@ -230,23 +313,7 @@ pub struct AzPlatform {
     pub(crate) scale_check_scheduled: bool,
     /// Whether a pool-tick event is currently scheduled.
     pub(crate) pool_tick_scheduled: bool,
-    /// Execution-mode profiles by deployment. Deployments never
-    /// registered here run the legacy default ([`ExecProfile::default`]).
-    profiles: BTreeMap<DeploymentId, ExecProfile>,
-    /// Live snapshots by deployment (at most one per `(az, function)`;
-    /// re-capture replaces an expired one).
-    snapshots: BTreeMap<DeploymentId, Snapshot>,
-    /// Pre-warm pools by deployment (only profile-enabled deployments
-    /// appear, so legacy acquires never touch this map).
-    pools: BTreeMap<DeploymentId, PoolState>,
-    next_snapshot: u64,
-    /// Monotone counter of snapshot TTL evictions (never decreases —
-    /// the property suite's monotonicity witness).
-    snapshots_evicted: u64,
-    /// Snapshot captures/evictions since the engine last drained them
-    /// into the metrics registry.
-    pending_snap_captured: u64,
-    pending_snap_evicted: u64,
+    snapshots: SnapshotLedger,
     id_base: u64,
     next_host: u64,
     next_instance: u64,
@@ -305,24 +372,15 @@ impl AzPlatform {
             hosts: Vec::new(),
             by_cpu: BTreeMap::new(),
             instances: Slab::new(),
-            warm_idle: BTreeMap::new(),
-            busy_counts: BTreeMap::new(),
+            deployments: BTreeMap::new(),
             reuse_prob,
-            fi_mem_used_x86: 0,
-            fi_mem_used_arm: 0,
-            total_mem_x86: 0,
-            total_mem_arm: 0,
+            fi_mem_used: [0; 2],
+            total_mem: [0; 2],
             extra_hosts: 0,
             capacity_failures_pending: 0,
             scale_check_scheduled: false,
             pool_tick_scheduled: false,
-            profiles: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            pools: BTreeMap::new(),
-            next_snapshot: 0,
-            snapshots_evicted: 0,
-            pending_snap_captured: 0,
-            pending_snap_evicted: 0,
+            snapshots: SnapshotLedger::default(),
             id_base,
             next_host: 0,
             next_instance: 0,
@@ -385,10 +443,7 @@ impl AzPlatform {
             live_instances: 0,
         });
         self.by_cpu.entry((arch, cpu)).or_default().push(index);
-        match arch {
-            Arch::X86_64 => self.total_mem_x86 += mem,
-            Arch::Arm64 => self.total_mem_arm += mem,
-        }
+        self.total_mem[arch as usize] += mem;
     }
 
     /// The **ground-truth** CPU mix of the current x86 fleet, host-count
@@ -430,12 +485,15 @@ impl AzPlatform {
     /// Approximate FI capacity remaining for a deployment of the given
     /// memory/arch at the given hour, in instances.
     pub fn remaining_capacity(&self, memory_mb: u32, arch: Arch, hour: f64) -> u64 {
-        let (used, total) = match arch {
-            Arch::X86_64 => (self.fi_mem_used_x86, self.total_mem_x86),
-            Arch::Arm64 => (self.fi_mem_used_arm, self.total_mem_arm),
-        };
-        let usable = (total as f64 * self.diurnal.usable_fraction(hour)) as u64;
-        usable.saturating_sub(used) / memory_mb as u64
+        self.headroom_mb(arch, hour) / memory_mb as u64
+    }
+
+    /// Memory our FIs of `arch` may still take at `hour`, MB: the
+    /// background-load-adjusted capacity less what they already hold.
+    fn headroom_mb(&self, arch: Arch, hour: f64) -> u64 {
+        let total = self.total_mem[arch as usize] as f64;
+        let usable = (total * self.diurnal.usable_fraction(hour)) as u64;
+        usable.saturating_sub(self.fi_mem_used[arch as usize])
     }
 
     /// Try to obtain an instance for an invocation: reuse the most
@@ -469,164 +527,93 @@ impl AzPlatform {
         // observed Lambda scale-out behaviour under concurrent arrivals —
         // and the mechanism that lets held declined FIs be bypassed by
         // retries (paper §3.5).
-        let busy_now = self.busy_counts.get(&deployment).copied().unwrap_or(0);
-        let prefer_warm = busy_now == 0 || self.rng.chance(self.reuse_prob);
-        if prefer_warm {
-            if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                self.mark_busy(slot);
-                return Ok((id, slot, StartClass::Warm));
+        let d = self.deployments.entry(deployment).or_default();
+        if d.busy == 0 || self.rng.chance(self.reuse_prob) {
+            if let Some(hit) = d.claim(StartClass::Warm, &mut self.instances) {
+                return Ok(hit);
             }
         }
         // Pre-warm pool: count demand and take a pooled instance before
         // paying for any fresh placement. Only profile-enabled
         // deployments have pool state.
-        if self.pools.contains_key(&deployment) {
-            if let Some(pool) = self.pools.get_mut(&deployment) {
-                pool.window_arrivals += 1;
-            }
-            if let Some((id, slot)) = self.pop_valid_pool(deployment) {
-                self.mark_busy(slot);
-                return Ok((id, slot, StartClass::Pooled));
-            }
+        if let Some(pool) = &mut d.pool {
+            pool.window_arrivals += 1;
         }
-        // Cold path. An armed outage fails all *new* placement (warm FIs
-        // above keep serving, matching how zone incidents present).
-        if let Some(until) = self.outage_until {
-            if now < until {
-                if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                    self.mark_busy(slot);
-                    return Ok((id, slot, StartClass::Warm));
-                }
-                self.capacity_failures_pending += 1;
-                return Err(CapacityError::Exhausted);
-            }
-            self.outage_until = None;
+        if let Some(hit) = d.claim(StartClass::Pooled, &mut self.instances) {
+            return Ok(hit);
         }
-        // Partial outage: each placement independently fails with the
-        // configured severity (warm fallback as above). The coin comes
-        // from the dedicated fault stream, drawn only while the window
-        // is active.
-        if let Some((until, severity)) = self.partial_outage {
-            if now < until {
-                if self.fault_rng.chance(severity) {
-                    if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                        self.mark_busy(slot);
-                        return Ok((id, slot, StartClass::Warm));
-                    }
-                    self.capacity_failures_pending += 1;
-                    return Err(CapacityError::Exhausted);
-                }
-            } else {
-                self.partial_outage = None;
-            }
-        }
-        // Admission check against background-load-adjusted capacity,
-        // then weighted placement across CPU types.
-        let hour = now.hour_of_day_f64();
-        let (used, total) = match arch {
-            Arch::X86_64 => (self.fi_mem_used_x86, self.total_mem_x86),
-            Arch::Arm64 => (self.fi_mem_used_arm, self.total_mem_arm),
+        // Cold path, refused by an armed outage (warm FIs keep serving,
+        // matching how zone incidents present); by a partial outage's
+        // per-placement coin; by the admission check against
+        // background-load-adjusted capacity; or when no host has room.
+        let refused = matches!(self.outage_until, Some(until) if now < until)
+            || self.fault_coin(self.partial_outage, now)
+            || self.headroom_mb(arch, now.hour_of_day_f64()) < memory_mb as u64;
+        let host = if refused {
+            None
+        } else {
+            self.place(memory_mb, arch)
         };
-        let usable = (total as f64 * self.diurnal.usable_fraction(hour)) as u64;
-        if used + memory_mb as u64 > usable {
-            // Out of capacity: fall back to a warm FI if one exists.
-            if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                self.mark_busy(slot);
-                return Ok((id, slot, StartClass::Warm));
+        let d = self
+            .deployments
+            .get_mut(&deployment)
+            .expect("entered above");
+        let Some(host_index) = host else {
+            // Fall back to a warm FI if one exists.
+            if let Some(hit) = d.claim(StartClass::Warm, &mut self.instances) {
+                return Ok(hit);
             }
             self.capacity_failures_pending += 1;
             return Err(CapacityError::Exhausted);
-        }
-        let host_index = match self.place(memory_mb, arch) {
-            Some(i) => i,
-            None => {
-                if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                    self.mark_busy(slot);
-                    return Ok((id, slot, StartClass::Warm));
-                }
-                self.capacity_failures_pending += 1;
-                return Err(CapacityError::Exhausted);
-            }
         };
-        // A fresh environment: restore or branch when the mode has a
-        // live snapshot, else a full cold provision. No RNG involved.
-        let (class, parent) = self.fresh_start_class(deployment, now);
+        // A fresh environment: restore or branch when the mode snapshots
+        // and a live snapshot exists, else a full cold provision. No RNG
+        // involved.
+        let mode = d.profile.mode;
+        let live = if mode.snapshots() {
+            d.live_snapshot(now, &mut self.snapshots)
+        } else {
+            None
+        };
+        let (class, parent) = match live {
+            Some(snap) if mode == ExecMode::Branched => {
+                snap.branches += 1;
+                (StartClass::Branched, Some(snap.id))
+            }
+            Some(snap) => {
+                snap.restores += 1;
+                (StartClass::Restored, Some(snap.id))
+            }
+            None => (StartClass::Cold, None),
+        };
+        d.busy += 1;
         let (id, slot) =
-            self.create_instance(deployment, memory_mb, arch, host_index, true, parent, now);
+            self.create_instance(deployment, memory_mb, host_index, true, parent, mode, now);
         Ok((id, slot, class))
     }
 
-    /// The start class a fresh placement resolves to: `Restored` or
-    /// `Branched` when the deployment's mode snapshots and a live
-    /// snapshot exists (bumping its usage counters), else `Cold`.
-    fn fresh_start_class(
-        &mut self,
-        deployment: DeploymentId,
-        now: SimTime,
-    ) -> (StartClass, Option<SnapshotId>) {
-        let mode = self.profile(deployment).mode;
-        if !mode.snapshots() {
-            return (StartClass::Cold, None);
-        }
-        match self.live_snapshot(deployment, now) {
-            Some(snap) => {
-                if mode == ExecMode::Branched {
-                    snap.branches += 1;
-                    (StartClass::Branched, Some(snap.id))
-                } else {
-                    snap.restores += 1;
-                    (StartClass::Restored, Some(snap.id))
-                }
-            }
-            None => (StartClass::Cold, None),
-        }
-    }
-
-    /// The live (unexpired) snapshot for a deployment, evicting it first
-    /// if its TTL lapsed. Eviction is lazy but monotone: once `now`
-    /// passes `expires` the snapshot can never serve again.
-    fn live_snapshot(&mut self, deployment: DeploymentId, now: SimTime) -> Option<&mut Snapshot> {
-        if let Some(snap) = self.snapshots.get(&deployment) {
-            if now >= snap.expires {
-                self.snapshots.remove(&deployment);
-                self.snapshots_evicted += 1;
-                self.pending_snap_evicted += 1;
-                return None;
-            }
-        } else {
-            return None;
-        }
-        self.snapshots.get_mut(&deployment)
-    }
-
     /// Allocate host memory and insert a fresh [`Instance`] record.
-    /// `busy` distinguishes an acquisition (serving its first invocation)
-    /// from a pool provision (parked idle).
+    /// `busy` distinguishes an acquisition (serving its first invocation,
+    /// counted busy on its deployment by the caller) from a pool
+    /// provision (parked idle).
     #[allow(clippy::too_many_arguments)]
     fn create_instance(
         &mut self,
         deployment: DeploymentId,
         memory_mb: u32,
-        arch: Arch,
         host_index: usize,
         busy: bool,
         parent_snapshot: Option<SnapshotId>,
+        mode: ExecMode,
         now: SimTime,
     ) -> (InstanceId, SlotKey) {
         let host = &mut self.hosts[host_index];
         host.mem_used_mb += memory_mb as u64;
         host.live_instances += 1;
         let (cpu, host_id) = (host.cpu, host.id);
-        match arch {
-            Arch::X86_64 => self.fi_mem_used_x86 += memory_mb as u64,
-            Arch::Arm64 => self.fi_mem_used_arm += memory_mb as u64,
-        }
+        self.fi_mem_used[host.arch as usize] += memory_mb as u64;
         let id = InstanceId::from_raw(self.id_base + self.next_instance);
         self.next_instance += 1;
-        if busy {
-            *self.busy_counts.entry(deployment).or_default() += 1;
-        }
-        let mode = self.profile(deployment).mode;
         let slot = self.instances.insert(Instance {
             id,
             uuid: self.rng.next_uuid(),
@@ -646,20 +633,6 @@ impl AzPlatform {
         (id, slot)
     }
 
-    /// Pop the most recently idled valid warm instance for a deployment,
-    /// discarding the invalid entries above it (see [`idle_entry`]).
-    fn pop_valid_warm(&mut self, deployment: DeploymentId) -> Option<(InstanceId, SlotKey)> {
-        let stack = self.warm_idle.entry(deployment).or_default();
-        std::iter::from_fn(|| stack.pop()).find(|&e| idle_entry(&self.instances, e))
-    }
-
-    /// Pop the most recently provisioned valid pool instance. Entries
-    /// validate against slot reuse exactly like the warm-idle stack.
-    fn pop_valid_pool(&mut self, deployment: DeploymentId) -> Option<(InstanceId, SlotKey)> {
-        let pool = self.pools.get_mut(&deployment)?;
-        std::iter::from_fn(|| pool.idle.pop()).find(|&e| idle_entry(&self.instances, e))
-    }
-
     /// Register (or replace) a deployment's execution profile,
     /// immediately provisioning a fixed pool to its target. Returns how
     /// many instances were provisioned.
@@ -671,12 +644,13 @@ impl AzPlatform {
         arch: Arch,
         now: SimTime,
     ) -> u32 {
-        self.profiles.insert(deployment, profile);
+        let d = self.deployments.entry(deployment).or_default();
+        d.profile = profile;
         if !profile.pool.enabled() {
-            self.pools.remove(&deployment);
+            d.pool = None;
             return 0;
         }
-        self.pools.entry(deployment).or_insert(PoolState {
+        d.pool.get_or_insert(PoolState {
             policy: profile.pool,
             memory_mb,
             arch,
@@ -684,44 +658,50 @@ impl AzPlatform {
             ewma_x256: 0,
             window_arrivals: 0,
         });
-        let target = profile.pool.target(0);
-        self.fill_pool(deployment, target, now)
+        self.fill_pool(deployment, profile.pool.target(0), now)
     }
 
     /// The execution profile of a deployment (legacy default when never
     /// registered).
     pub fn profile(&self, deployment: DeploymentId) -> ExecProfile {
-        self.profiles.get(&deployment).copied().unwrap_or_default()
+        self.deployments
+            .get(&deployment)
+            .map(|d| d.profile)
+            .unwrap_or_default()
     }
 
     /// Whether any pre-warm pool exists on this platform (drives the
     /// engine's recurring pool tick).
     pub fn has_pools(&self) -> bool {
-        !self.pools.is_empty()
+        self.deployments.values().any(|d| d.pool.is_some())
     }
 
     /// Current pool occupancy of a deployment (0 when unpooled).
     pub fn pool_occupancy(&self, deployment: DeploymentId) -> usize {
-        self.pools.get(&deployment).map_or(0, |p| p.idle.len())
+        let pool = self
+            .deployments
+            .get(&deployment)
+            .and_then(|d| d.pool.as_ref());
+        pool.map_or(0, |p| p.idle.len())
     }
 
     /// The live snapshot record of a deployment, if one is captured
     /// (read-only; does not evict).
     pub fn snapshot(&self, deployment: DeploymentId) -> Option<&Snapshot> {
-        self.snapshots.get(&deployment)
+        self.deployments.get(&deployment)?.snapshot.as_ref()
     }
 
     /// Monotone total of snapshot TTL evictions on this platform.
     pub fn snapshots_evicted_total(&self) -> u64 {
-        self.snapshots_evicted
+        self.snapshots.evicted
     }
 
     /// Drain snapshot capture/eviction counts accumulated since the last
     /// drain — the engine meters these after acquire/release calls.
     pub(crate) fn take_snapshot_deltas(&mut self) -> (u64, u64) {
         (
-            std::mem::take(&mut self.pending_snap_captured),
-            std::mem::take(&mut self.pending_snap_evicted),
+            std::mem::take(&mut self.snapshots.pending_captured),
+            std::mem::take(&mut self.snapshots.pending_evicted),
         )
     }
 
@@ -730,33 +710,31 @@ impl AzPlatform {
     /// in `BTreeMap` (deployment-id) order — deterministic.
     pub fn pool_tick(&mut self, now: SimTime) -> PoolTickStats {
         let mut stats = PoolTickStats::default();
-        let deps: Vec<DeploymentId> = self.pools.keys().copied().collect();
-        for dep in deps {
-            let target = {
-                let instances = &self.instances;
-                let pool = self.pools.get_mut(&dep).expect("listed above");
-                let arrivals = std::mem::take(&mut pool.window_arrivals);
-                pool.ewma_x256 = pool.policy.fold_ewma(pool.ewma_x256, arrivals);
-                // Drop entries invalidated by purges or faults before
-                // sizing against the target.
-                pool.idle.retain(|&e| idle_entry(instances, e));
-                pool.policy.target(pool.ewma_x256)
-            };
-            let len = self.pools[&dep].idle.len() as u32;
-            if len > target {
-                let excess = len - target;
-                let doomed: Vec<(InstanceId, SlotKey)> = {
-                    let pool = self.pools.get_mut(&dep).expect("listed above");
-                    (0..excess).filter_map(|_| pool.idle.pop()).collect()
-                };
-                for (_, slot) in doomed {
-                    self.destroy(slot);
-                    stats.trimmed += 1;
-                }
-            } else if len < target {
-                stats.provisioned += self.fill_pool(dep, target, now);
+        let pooled: Vec<DeploymentId> = self
+            .deployments
+            .iter()
+            .filter(|(_, d)| d.pool.is_some())
+            .map(|(&dep, _)| dep)
+            .collect();
+        for dep in pooled {
+            let d = self.deployments.get_mut(&dep).expect("listed above");
+            let pool = d.pool.as_mut().expect("listed above");
+            let arrivals = std::mem::take(&mut pool.window_arrivals);
+            pool.ewma_x256 = pool.policy.fold_ewma(pool.ewma_x256, arrivals);
+            // Drop entries invalidated by purges or faults before sizing
+            // against the target.
+            let instances = &self.instances;
+            pool.idle.retain(|&e| idle_entry(instances, e));
+            let target = pool.policy.target(pool.ewma_x256);
+            // Trim from the top of the stack down.
+            let keep = pool.idle.len().min(target as usize);
+            let doomed: Vec<(InstanceId, SlotKey)> = pool.idle.drain(keep..).rev().collect();
+            stats.trimmed += doomed.len() as u32;
+            for (_, slot) in doomed {
+                self.destroy(slot);
             }
-            stats.occupancy += self.pools[&dep].idle.len() as u64;
+            stats.provisioned += self.fill_pool(dep, target, now);
+            stats.occupancy += self.pool_occupancy(dep) as u64;
         }
         stats
     }
@@ -766,45 +744,24 @@ impl AzPlatform {
     /// created. Occupancy can never exceed the policy cap: `target` is
     /// already clamped and the pool only grows here.
     fn fill_pool(&mut self, deployment: DeploymentId, target: u32, now: SimTime) -> u32 {
-        let (memory_mb, arch) = match self.pools.get(&deployment) {
-            Some(p) => (p.memory_mb, p.arch),
-            None => return 0,
-        };
+        let d = &self.deployments[&deployment];
+        let pool = d.pool.as_ref().expect("filled pools exist");
+        let (memory_mb, arch, mode) = (pool.memory_mb, pool.arch, d.profile.mode);
         let mut created = 0u32;
-        while (self.pools[&deployment].idle.len() as u32) < target {
-            let hour = now.hour_of_day_f64();
-            let (used, total) = match arch {
-                Arch::X86_64 => (self.fi_mem_used_x86, self.total_mem_x86),
-                Arch::Arm64 => (self.fi_mem_used_arm, self.total_mem_arm),
-            };
-            let usable = (total as f64 * self.diurnal.usable_fraction(hour)) as u64;
-            if used + memory_mb as u64 > usable {
+        for _ in pool.idle.len() as u32..target {
+            if self.headroom_mb(arch, now.hour_of_day_f64()) < memory_mb as u64 {
                 break;
             }
             let Some(host_index) = self.place(memory_mb, arch) else {
                 break;
             };
-            let (id, slot) =
-                self.create_instance(deployment, memory_mb, arch, host_index, false, None, now);
-            self.pools
-                .get_mut(&deployment)
-                .expect("pool exists")
-                .idle
-                .push((id, slot));
+            let entry =
+                self.create_instance(deployment, memory_mb, host_index, false, None, mode, now);
+            let d = self.deployments.get_mut(&deployment).expect("filled above");
+            d.pool.as_mut().expect("filled above").idle.push(entry);
             created += 1;
         }
         created
-    }
-
-    /// Mark a (validated) idle instance busy and count the invocation.
-    fn mark_busy(&mut self, slot: SlotKey) {
-        let inst = self
-            .instances
-            .get_mut(slot)
-            .expect("validated by pop_valid_warm");
-        inst.busy = true;
-        inst.invocations += 1;
-        *self.busy_counts.entry(inst.deployment).or_default() += 1;
     }
 
     /// Bin-packing host selection: usually continue filling the host the
@@ -889,55 +846,26 @@ impl AzPlatform {
         inst.busy = false;
         inst.keep_alive_until = now + keep_alive;
         inst.expire_epoch += 1;
-        let deployment = inst.deployment;
         let result = (inst.keep_alive_until, inst.expire_epoch);
-        let stack = self.warm_idle.entry(deployment).or_default();
-        if stack.len() == stack.capacity() {
-            // Before the push grows the stack, drop the entries
-            // `pop_valid_warm` would skip (FIs destroyed since they
-            // idled); valid entries keep their order. Reserving exactly
-            // as much again as survives makes the sweep amortised O(1)
-            // per release and keeps the stack within twice its valid
-            // entries, which a doubling `reserve` could overshoot.
+        let d = self
+            .deployments
+            .get_mut(&inst.deployment)
+            .expect("a busy FI's deployment has a record");
+        if d.warm.len() == d.warm.capacity() {
+            // Before the push grows the stack, drop the entries `claim`
+            // would skip (FIs destroyed since they idled); valid entries
+            // keep their order. Reserving exactly as much again as
+            // survives makes the sweep amortised O(1) per release and
+            // keeps the stack within twice its valid entries, which a
+            // doubling `reserve` could overshoot.
             let instances = &self.instances;
-            stack.retain(|&e| idle_entry(instances, e));
-            stack.reserve_exact(stack.len());
+            d.warm.retain(|&e| idle_entry(instances, e));
+            d.warm.reserve_exact(d.warm.len());
         }
-        stack.push((id, slot));
-        let busy = self
-            .busy_counts
-            .get_mut(&deployment)
-            .expect("busy count tracked");
-        *busy -= 1;
-        self.maybe_capture_snapshot(deployment, now);
+        d.warm.push((id, slot));
+        d.busy -= 1;
+        d.maybe_capture_snapshot(now, &mut self.snapshots);
         result
-    }
-
-    /// Capture a `(az, function)` snapshot at release time for
-    /// snapshotting modes, when none is live. Re-capture over an expired
-    /// snapshot first records its eviction, keeping the eviction counter
-    /// monotone.
-    fn maybe_capture_snapshot(&mut self, deployment: DeploymentId, now: SimTime) {
-        let profile = self.profile(deployment);
-        if !profile.mode.snapshots() || profile.snapshot_ttl == SimDuration::ZERO {
-            return;
-        }
-        if self.live_snapshot(deployment, now).is_some() {
-            return;
-        }
-        let id = SnapshotId(self.next_snapshot);
-        self.next_snapshot += 1;
-        self.snapshots.insert(
-            deployment,
-            Snapshot {
-                id,
-                created: now,
-                expires: now + profile.snapshot_ttl,
-                restores: 0,
-                branches: 0,
-            },
-        );
-        self.pending_snap_captured += 1;
     }
 
     /// Tear down a busy instance immediately after its invocation — the
@@ -950,20 +878,18 @@ impl AzPlatform {
     pub fn retire(&mut self, id: InstanceId, slot: SlotKey, now: SimTime) {
         let inst = self
             .instances
-            .get_mut(slot)
+            .get(slot)
             .expect("retire of unknown instance");
         assert_eq!(inst.id, id, "retire slot/id mismatch");
         assert!(inst.busy, "retire of idle instance");
-        let deployment = inst.deployment;
-        let busy = self
-            .busy_counts
-            .get_mut(&deployment)
-            .expect("busy count tracked");
-        *busy -= 1;
+        let d = self
+            .deployments
+            .get_mut(&inst.deployment)
+            .expect("a busy FI's deployment has a record");
+        d.busy -= 1;
+        // A no-op unless the deployment's profile snapshots.
+        d.maybe_capture_snapshot(now, &mut self.snapshots);
         self.destroy(slot);
-        // Ephemeral deployments may still snapshot-capture if configured
-        // (mode gating inside makes this a no-op otherwise).
-        self.maybe_capture_snapshot(deployment, now);
     }
 
     /// Handle an expire event: destroy the instance if the slot still
@@ -988,20 +914,16 @@ impl AzPlatform {
     }
 
     /// Free an FI's slot and host memory. Its warm-stack entry, if any,
-    /// stays behind as an invalid entry; pool entries are removed at once
-    /// because `pool_occupancy` reports the pool's length.
+    /// stays behind as an invalid entry. Only idle FIs sit in a pool, and
+    /// the callers that destroy them (`pool_tick`, `purge_warm`) remove
+    /// their entries at once, because `pool_occupancy` reports the pool's
+    /// length.
     fn destroy(&mut self, slot: SlotKey) {
         let inst = self.instances.remove(slot);
         let host = &mut self.hosts[inst.host_index];
         host.mem_used_mb -= inst.memory_mb as u64;
         host.live_instances -= 1;
-        match host.arch {
-            Arch::X86_64 => self.fi_mem_used_x86 -= inst.memory_mb as u64,
-            Arch::Arm64 => self.fi_mem_used_arm -= inst.memory_mb as u64,
-        }
-        if let Some(pool) = self.pools.get_mut(&inst.deployment) {
-            pool.idle.retain(|&(x, _)| x != inst.id);
-        }
+        self.fi_mem_used[host.arch as usize] -= inst.memory_mb as u64;
     }
 
     /// Immutable access to an instance by identity: an O(n) scan of the
@@ -1095,14 +1017,14 @@ impl AzPlatform {
     /// the fault stream only while the storm window is active, so
     /// unfaulted runs consume no fault randomness.
     pub fn throttle_rejects(&mut self, now: SimTime) -> bool {
-        match self.throttle_storm {
-            Some((until, p)) if now < until => self.fault_rng.chance(p),
-            Some(_) => {
-                self.throttle_storm = None;
-                false
-            }
-            None => false,
-        }
+        self.fault_coin(self.throttle_storm, now)
+    }
+
+    /// Whether `now` falls inside a per-event fault window and the
+    /// window's coin, drawn from the fault stream only inside it, fails
+    /// the event.
+    fn fault_coin(&mut self, window: Option<(SimTime, f64)>, now: SimTime) -> bool {
+        matches!(window, Some((until, p)) if now < until && self.fault_rng.chance(p))
     }
 
     /// Extra dispatch latency imposed by an active latency spike.
@@ -1149,6 +1071,12 @@ impl AzPlatform {
         let purged = idle.len() as u32;
         for slot in idle {
             self.destroy(slot);
+        }
+        // Every pooled FI is idle, so the purge empties every pool.
+        for d in self.deployments.values_mut() {
+            if let Some(pool) = &mut d.pool {
+                pool.idle.clear();
+            }
         }
         purged
     }
@@ -1278,6 +1206,46 @@ mod tests {
     }
 
     #[test]
+    fn refused_placement_falls_back_to_an_idle_warm_fi() {
+        let cat = Catalog::paper_world(42);
+        let spec = cat.az(&"eu-north-1a".parse().unwrap()).unwrap().clone();
+        let (dep, t0) = (DeploymentId::from_raw(1), SimTime::ZERO);
+        let until = t0 + SimDuration::from_mins(10);
+        let faults = [
+            ("outage", Some(FaultKind::Outage)),
+            (
+                "partial outage",
+                Some(FaultKind::PartialOutage { severity: 1.0 }),
+            ),
+            ("admission", None),
+        ];
+        for (refusal, fault) in faults {
+            // No warm reuse under a burst: while one FI is busy, only a
+            // refusal sends a request to the idle one.
+            let mut p = AzPlatform::new(spec.clone(), 0, SimRng::seed_from(1).derive("p"), 0.0);
+            p.acquire(dep, 2048, Arch::X86_64, t0).unwrap();
+            let (idle, slot, _) = p.acquire(dep, 2048, Arch::X86_64, t0).unwrap();
+            p.release(idle, slot, t0, SimDuration::from_mins(6));
+            match fault {
+                Some(kind) => _ = p.apply_fault(&kind, until),
+                // Another deployment fills the zone to its admission limit.
+                None => {
+                    while p.remaining_capacity(2048, Arch::X86_64, t0.hour_of_day_f64()) > 0 {
+                        p.acquire(DeploymentId::from_raw(2), 2048, Arch::X86_64, t0)
+                            .unwrap();
+                    }
+                }
+            }
+            let failures = p.capacity_failures_pending;
+            let (id, _, class) = p.acquire(dep, 2048, Arch::X86_64, t0).unwrap();
+            assert_eq!((id, class), (idle, StartClass::Warm), "{refusal}");
+            let refused = p.acquire(dep, 2048, Arch::X86_64, t0);
+            assert_eq!(refused, Err(CapacityError::Exhausted), "{refusal}");
+            assert_eq!(p.capacity_failures_pending, failures + 1, "{refusal}");
+        }
+    }
+
+    #[test]
     fn expire_respects_epoch_and_busy() {
         let mut p = platform("us-east-2a");
         let dep = DeploymentId::from_raw(1);
@@ -1371,7 +1339,7 @@ mod tests {
                 expiries.push_back((id, slot, deadline, epoch));
                 idle.push(id);
             }
-            let held = p.warm_idle[&dep].len();
+            let held = p.deployments[&dep].warm.len();
             assert!(
                 held <= 2 * idle.len() + 4,
                 "round {round}: {held} stack entries for {} idle FIs",
@@ -1380,9 +1348,11 @@ mod tests {
         }
         assert!(idle.len() > 40, "steady state keeps ~41 FIs idle");
         // Valid entries pop most recently idled first.
-        let popped: Vec<InstanceId> = std::iter::from_fn(|| p.pop_valid_warm(dep))
-            .map(|(id, _)| id)
-            .collect();
+        let d = p.deployments.get_mut(&dep).unwrap();
+        let popped: Vec<InstanceId> =
+            std::iter::from_fn(|| d.claim(StartClass::Warm, &mut p.instances))
+                .map(|(id, _, _)| id)
+                .collect();
         idle.reverse();
         assert_eq!(popped, idle);
     }

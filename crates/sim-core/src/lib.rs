@@ -18,8 +18,8 @@
 //!   an independent, reproducible stream from one root seed.
 //! * [`Uuid`] — the `Copy` 128-bit function-instance identity SAAF
 //!   reports, drawn from a [`SimRng`] and rendered as a uuid string.
-//! * [`stats`] — online statistics (Welford), histograms, percentiles and
-//!   exponentially-weighted averages used by the measurement harnesses.
+//! * [`stats`] — online statistics (Welford) and the nearest-rank
+//!   percentile used by the measurement harnesses.
 //! * [`series`] — labelled (x, y) series and plain-text table rendering used
 //!   by the figure/table regeneration binaries.
 //! * [`metrics`] — the deterministic observability layer: a typed registry of
@@ -59,6 +59,6 @@ pub use metrics::{
 pub use rng::SimRng;
 pub use series::{Series, Table};
 pub use slab::{Slab, SlotKey};
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use uuid::Uuid;

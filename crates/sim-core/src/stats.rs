@@ -1,9 +1,8 @@
-//! Online statistics, histograms and percentile helpers.
+//! Online statistics and the nearest-rank percentile.
 //!
 //! These are the measurement primitives used by the experiment harnesses:
-//! Welford-style running moments for runtime/cost aggregation, a fixed-width
-//! histogram for latency distributions, and percentile extraction over
-//! recorded samples.
+//! Welford-style running moments for runtime/cost aggregation and
+//! percentile extraction over recorded samples.
 
 use serde::{Deserialize, Serialize};
 
@@ -149,92 +148,6 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram of `n` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((v - self.lo) / w) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts per bucket (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) by linear scan of buckets;
-    /// returns the left edge of the bucket holding the quantile sample.
-    /// `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo + i as f64 * w);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 /// Exact percentile of a slice (`q` in `[0, 1]`), by sorting a copy.
 /// Uses the "nearest rank" method. Returns `None` on an empty slice.
 pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
@@ -246,41 +159,6 @@ pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
     let q = q.clamp(0.0, 1.0);
     let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
     Some(v[rank - 1])
-}
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create with smoothing factor `alpha` in `(0, 1]`; larger alpha
-    /// weights recent samples more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in one observation and return the updated average.
-    pub fn update(&mut self, v: f64) -> f64 {
-        let next = match self.value {
-            None => v,
-            Some(prev) => prev + self.alpha * (v - prev),
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average, if any observation has been made.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -332,32 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.buckets()[5], 1); // 5.0
-        assert_eq!(h.buckets()[9], 1); // 9.99
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 49.0).abs() <= 1.0, "median {median}");
-        assert_eq!(h.quantile(0.0).unwrap(), 0.0);
-        assert!(Histogram::new(0.0, 1.0, 2).quantile(0.5).is_none());
-    }
-
-    #[test]
     fn exact_percentile() {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&v, 0.5), Some(50.0));
@@ -365,23 +217,5 @@ mod tests {
         assert_eq!(percentile(&v, 1.0), Some(100.0));
         assert_eq!(percentile(&v, 0.0), Some(1.0));
         assert_eq!(percentile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.update(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        for _ in 0..64 {
-            e.update(2.0);
-        }
-        assert!((e.value().unwrap() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 }

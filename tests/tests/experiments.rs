@@ -1,9 +1,9 @@
-//! Registry completeness and determinism contracts for the experiment
-//! multiplexer (`skyward exp`): the registry is a well-formed inventory
-//! (unique names, docs and published artifacts for everything in it),
-//! every experiment's output is a pure function of `(scale, seed)` at
-//! any `--jobs`, and a failing experiment never
-//! poisons its siblings. Sky-bench's golden harness pins the bytes.
+//! Registry completeness contracts for the experiment multiplexer
+//! (`skyward exp`): the registry is a well-formed inventory (unique
+//! names, docs and published artifacts for everything in it), and a
+//! failing experiment never poisons its siblings. Sky-bench's golden
+//! harness pins the bytes and checks that the swept experiments print
+//! the same text at 1, 2 and 8 workers.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -66,36 +66,6 @@ fn every_experiment_has_a_published_results_artifact() {
             "missing {}; regenerate with `skyward exp run --all --out results/`",
             path.display()
         );
-    }
-}
-
-#[test]
-fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
-    // The multiplexer's load-bearing promise: text depends on
-    // (scale, seed) only. Exercise the cheap multi-cell experiments at
-    // 1/2/8 workers; the golden harness covers the rest of the set.
-    for name in [
-        "fig_faults",
-        "ablation_staleness",
-        "fig5_progressive_sampling",
-        "fig_drift_regret",
-        "ablation_drift_lag",
-        "fig2_global_characterization",
-    ] {
-        let exp: &dyn Experiment = registry::find(name).expect("registered");
-        let serial = registry::run_experiment(exp, Scale::Quick, Jobs::serial(), WORLD_SEED)
-            .unwrap_or_else(|e| panic!("{name} failed: {e}"))
-            .text;
-        assert!(!serial.is_empty(), "{name} printed nothing");
-        for jobs in [2, 8] {
-            let parallel = registry::run_experiment(exp, Scale::Quick, Jobs::new(jobs), WORLD_SEED)
-                .unwrap_or_else(|e| panic!("{name} with {jobs} jobs failed: {e}"))
-                .text;
-            assert_eq!(
-                serial, parallel,
-                "{name} output differs between 1 and {jobs} workers"
-            );
-        }
     }
 }
 
