@@ -379,20 +379,17 @@ impl ResilientClient {
     /// (failing open beats failing the burst).
     fn choose_az(&self, kind: WorkloadKind, candidates: &[AzId], engine: &FaasEngine) -> AzId {
         let now = engine.now();
-        let allowed: Vec<AzId> = candidates
-            .iter()
-            .filter(|az| {
-                self.zones
-                    .get(az)
-                    .map(|z| z.breaker.allows(now))
-                    .unwrap_or(true)
-            })
-            .cloned()
-            .collect();
-        let pool: &[AzId] = if allowed.is_empty() {
+        let allows = |az: &AzId| self.zones.get(az).is_none_or(|z| z.breaker.allows(now));
+        let allowed: Vec<AzId>;
+        let pool: &[AzId] = if candidates.iter().all(allows) {
             candidates
         } else {
-            &allowed
+            allowed = candidates.iter().filter(|az| allows(az)).cloned().collect();
+            if allowed.is_empty() {
+                candidates
+            } else {
+                &allowed
+            }
         };
         self.router
             .choose_az_bounded(kind, pool, now, engine.catalog())

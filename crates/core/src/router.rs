@@ -21,7 +21,7 @@ use sky_cloud::{AzId, Catalog, CpuSet, CpuType, GeoPoint, LatencyModel, PriceBoo
 use sky_faas::{
     BatchRequest, DeploymentId, FaasEngine, InvocationOutcome, RequestBody, WorkloadSpec,
 };
-use sky_sim::{SimDuration, SimRng, SimTime};
+use sky_sim::{MetricHandle, MetricsRegistry, SimDuration, SimRng, SimTime};
 use sky_workloads::WorkloadKind;
 use std::collections::BTreeMap;
 
@@ -286,6 +286,44 @@ struct BanditState {
     arms: BTreeMap<AzId, ArmStats>,
 }
 
+/// The router's placement metrics and `run_burst`'s counter handles.
+#[derive(Debug, Default)]
+struct RouterMetrics {
+    registry: MetricsRegistry,
+    /// Per zone and policy label, the `placements`, `requests`,
+    /// `completed` and `errors` handles, registered together at the
+    /// pair's first burst.
+    bursts: BTreeMap<AzId, BTreeMap<&'static str, [MetricHandle; 4]>>,
+}
+
+impl RouterMetrics {
+    /// Count one burst of `requests` in `az` under `policy`, `completed`
+    /// of them successfully.
+    fn record_burst(&mut self, az: &AzId, policy: &'static str, requests: u64, completed: u64) {
+        let RouterMetrics { registry, bursts } = self;
+        let handles = match bursts.get(az).and_then(|by_policy| by_policy.get(policy)) {
+            Some(&handles) => handles,
+            None => {
+                let az_name = az.to_string();
+                let labels = [("az", az_name.as_str()), ("policy", policy)];
+                let handles = ["placements", "requests", "completed", "errors"]
+                    .map(|name| registry.counter("router", name, &labels));
+                bursts
+                    .entry(az.clone())
+                    .or_default()
+                    .insert(policy, handles);
+                handles
+            }
+        };
+        for (handle, n) in handles
+            .into_iter()
+            .zip([1, requests, completed, requests - completed])
+        {
+            registry.add(handle, n);
+        }
+    }
+}
+
 /// The smart router: knowledge (store + table) plus policy execution.
 #[derive(Debug, Default)]
 pub struct SmartRouter {
@@ -299,7 +337,7 @@ pub struct SmartRouter {
     /// `&self` choose/run API; the router is never shared across
     /// threads (each sweep cell owns its own), so `RefCell` cannot
     /// observe contention and determinism is unaffected.
-    metrics: std::cell::RefCell<sky_sim::MetricsRegistry>,
+    metrics: std::cell::RefCell<RouterMetrics>,
     /// Arm statistics for the bandit policies (same `RefCell` rationale
     /// as `metrics`: single-owner, `&self` API).
     bandit: std::cell::RefCell<BanditState>,
@@ -312,7 +350,7 @@ impl SmartRouter {
             store,
             table,
             config,
-            metrics: std::cell::RefCell::new(sky_sim::MetricsRegistry::new()),
+            metrics: std::cell::RefCell::default(),
             bandit: std::cell::RefCell::new(BanditState::default()),
         }
     }
@@ -409,7 +447,7 @@ impl SmartRouter {
 
     /// Export the router's placement metrics as a mergeable snapshot.
     pub fn metrics_snapshot(&self) -> sky_sim::MetricsSnapshot {
-        self.metrics.borrow().snapshot()
+        self.metrics.borrow().registry.snapshot()
     }
 
     /// Expected runtime (ms) of a workload in a zone under the zone's
@@ -617,21 +655,13 @@ impl SmartRouter {
             })
             .collect();
         let outcomes = engine.run_batch(requests);
-        {
-            let az_name = az.to_string();
-            let labels = [("az", az_name.as_str()), ("policy", policy.label())];
-            let mut metrics = self.metrics.borrow_mut();
-            metrics.incr("router", "placements", &labels, 1);
-            metrics.incr("router", "requests", &labels, outcomes.len() as u64);
-            let completed = outcomes.iter().filter(|o| o.status.is_success()).count();
-            metrics.incr("router", "completed", &labels, completed as u64);
-            metrics.incr(
-                "router",
-                "errors",
-                &labels,
-                (outcomes.len() - completed) as u64,
-            );
-        }
+        let completed = outcomes.iter().filter(|o| o.status.is_success()).count();
+        self.metrics.borrow_mut().record_burst(
+            &az,
+            policy.label(),
+            outcomes.len() as u64,
+            completed as u64,
+        );
         let report = self.summarize(az, rtt, &outcomes);
         if matches!(
             policy,

@@ -174,15 +174,19 @@ pub struct Deployment {
 /// (which carries a full [`SaafReport`]) lives in the engine's response
 /// slab and the event holds only its [`SlotKey`], so timer-wheel slot
 /// sorts move a few words per event instead of a ~150-byte report.
+///
+/// `idx` is the request's index in the running batch, narrowed to `u32`
+/// ([`FaasEngine::run_batch`] checks that the batch fits) so that the
+/// event is 32 bytes and a queue entry 48.
 enum Event {
     Arrival {
-        idx: usize,
+        idx: u32,
     },
     /// The function's response reached the client: resolve the outcome or
     /// reissue a declined gated request. `status` keys
     /// [`FaasEngine::response_payloads`]; exactly one handle consumes it.
     Response {
-        idx: usize,
+        idx: u32,
         status: SlotKey,
         billed: SimDuration,
         cost: f64,
@@ -772,7 +776,8 @@ impl FaasEngine {
                 })
             })
             .collect();
-        for (idx, req) in requests.iter().enumerate() {
+        let indices = 0..u32::try_from(n).expect("a batch holds at most u32::MAX requests");
+        for (idx, req) in indices.zip(&requests) {
             self.queue
                 .schedule(start + req.offset, Event::Arrival { idx });
         }
@@ -804,7 +809,7 @@ impl FaasEngine {
 
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Arrival { idx } => self.handle_arrival(idx),
+            Event::Arrival { idx } => self.handle_arrival(idx as usize),
             Event::Response {
                 idx,
                 status,
@@ -812,7 +817,7 @@ impl FaasEngine {
                 cost,
             } => {
                 let status = self.response_payloads.remove(status);
-                self.handle_response(idx, status, billed, cost)
+                self.handle_response(idx as usize, status, billed, cost)
             }
             other => self.handle_maintenance(other),
         }
@@ -1260,7 +1265,7 @@ impl FaasEngine {
         self.queue.schedule(
             response_at,
             Event::Response {
-                idx,
+                idx: idx as u32,
                 status: status_key,
                 billed,
                 cost,
@@ -1302,7 +1307,7 @@ impl FaasEngine {
                     self.metrics
                         .add(self.az_metrics[req.az_idx as usize].gated_retries, 1);
                     self.queue
-                        .schedule(self.now + retry_latency, Event::Arrival { idx });
+                        .schedule(self.now + retry_latency, Event::Arrival { idx: idx as u32 });
                     return;
                 }
             }
@@ -1357,6 +1362,13 @@ mod tests {
 
     fn az(s: &str) -> AzId {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn events_are_32_bytes() {
+        // Every schedule, sort and pop moves the event plus its 16-byte
+        // (time, sequence) key.
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 
     #[test]

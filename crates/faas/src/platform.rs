@@ -636,6 +636,10 @@ impl AzPlatform {
     /// Register (or replace) a deployment's execution profile,
     /// immediately provisioning a fixed pool to its target. Returns how
     /// many instances were provisioned.
+    ///
+    /// An existing pool adopts the new policy (the next pool tick trims
+    /// it to the new target); a profile without a pool destroys the
+    /// deployment's idle pooled instances.
     pub fn set_profile(
         &mut self,
         deployment: DeploymentId,
@@ -647,10 +651,16 @@ impl AzPlatform {
         let d = self.deployments.entry(deployment).or_default();
         d.profile = profile;
         if !profile.pool.enabled() {
-            d.pool = None;
+            if let Some(pool) = d.pool.take() {
+                for entry in pool.idle {
+                    if idle_entry(&self.instances, entry) {
+                        self.destroy(entry.1);
+                    }
+                }
+            }
             return 0;
         }
-        d.pool.get_or_insert(PoolState {
+        let pool = d.pool.get_or_insert(PoolState {
             policy: profile.pool,
             memory_mb,
             arch,
@@ -658,6 +668,7 @@ impl AzPlatform {
             ewma_x256: 0,
             window_arrivals: 0,
         });
+        pool.policy = profile.pool;
         self.fill_pool(deployment, profile.pool.target(0), now)
     }
 
@@ -1510,6 +1521,36 @@ mod tests {
         assert_eq!(stats.provisioned, 3);
         assert_eq!(stats.occupancy, 3);
         assert!(p.pool_occupancy(dep) as u32 <= profile.pool.cap());
+    }
+
+    #[test]
+    fn reprofiled_pool_adopts_the_new_policy_and_a_dropped_pool_frees_its_fis() {
+        let mut p = platform("us-east-2a");
+        let dep = DeploymentId::from_raw(1);
+        let fixed =
+            |target, cap| ExecProfile::default().with_pool(PoolPolicy::Fixed { target, cap });
+        let set = |p: &mut AzPlatform, profile| {
+            p.set_profile(dep, profile, 2048, Arch::X86_64, SimTime::ZERO)
+        };
+        assert_eq!(set(&mut p, fixed(3, 4)), 3);
+        assert_eq!(set(&mut p, fixed(1, 1)), 0);
+        let stats = p.pool_tick(SimTime::ZERO + SimDuration::from_mins(1));
+        assert_eq!(stats.trimmed, 2, "the tick trims to the new target");
+        assert!(p.pool_occupancy(dep) <= 1);
+        assert_eq!(p.instance_count(), 1);
+        // Dropping the pool destroys its idle FI instead of leaking it.
+        set(&mut p, ExecProfile::default());
+        assert!(!p.has_pools());
+        assert_eq!(p.instance_count(), 0);
+        for _ in 0..3 {
+            let (_, _, class) = p.acquire(dep, 2048, Arch::X86_64, SimTime::ZERO).unwrap();
+            assert_eq!(class, StartClass::Cold);
+        }
+        assert_eq!(
+            p.instance_count(),
+            3,
+            "three concurrent acquires, three live FIs"
+        );
     }
 
     #[test]

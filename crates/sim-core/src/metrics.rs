@@ -797,9 +797,8 @@ impl MetricsRegistry {
         self.observe(h, d.as_micros());
     }
 
-    /// Slow-path counter add for cold call sites (fault arming and
-    /// `SmartRouter::run_burst`'s per-burst counters): interns the
-    /// identity on every call.
+    /// Slow-path counter add for a cold call site, fault arming: interns
+    /// the identity on every call.
     pub fn incr(&mut self, subsystem: &str, name: &str, labels: &[(&str, &str)], n: u64) {
         let h = self.counter(subsystem, name, labels);
         self.add(h, n);

@@ -96,12 +96,14 @@ fn first_sleep_batch_allocates_under_one_per_request() {
 /// client's counters and fills the engine's reusable buffers. The budget
 /// covers each round's batch and outcome vectors, the engine's work
 /// under them and the drained reports; the resilience counters, the
-/// drift fold and the round buffers allocate nothing per outcome.
+/// drift fold, the round buffers, zone choice through closed breakers
+/// and the event queue's far-future filing (keep-alive expiries, pool
+/// and scale ticks) allocate nothing per outcome.
 #[test]
-fn resilient_bursts_allocate_under_three_and_a_half_per_request() {
+fn resilient_bursts_allocate_under_two_and_a_half_per_request() {
     const BURSTS: usize = 20;
     const N: usize = 40;
-    const BUDGET: f64 = 3.5;
+    const BUDGET: f64 = 2.5;
     let seed = 42;
     let mut engine = FaasEngine::new(Catalog::paper_world(seed), FleetConfig::new(seed));
     let account = engine.create_account(Provider::Aws);

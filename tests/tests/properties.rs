@@ -215,61 +215,84 @@ fn event_queue_pops_sorted() {
 }
 
 /// The timer wheel's pop sequence must equal a sorted `(SimTime, seq)`
-/// reference under arbitrary push/pop interleavings — including exact
-/// SimTime ties (FIFO by schedule order) and far-future events that
-/// live in the overflow levels and cascade back through the near wheel.
-/// This is the heavyweight companion of the unit-level
-/// `wheel_matches_heap_reference` test in `sky_sim::events`.
+/// reference under arbitrary push/pop interleavings, and `peek_time` must
+/// read the reference minimum before every pop. The schedule covers exact
+/// SimTime ties (FIFO by schedule order), same-instant bursts of hundreds
+/// of events at the last popped time (the same-instant run), far-wheel
+/// deltas up to three horizons, times within two windows of the far
+/// wheel's horizon edge, and far-future events that live in the overflow
+/// map and cascade back through both wheels. This is the heavyweight
+/// companion of the unit-level `wheel_matches_heap_reference` test in
+/// `sky_sim::events`.
 #[test]
 fn timer_wheel_matches_sorted_reference_under_interleaving() {
-    use sky_sim::events::WINDOW_US;
+    use sky_sim::events::{FAR_SLOTS, WINDOW_US};
+    use std::collections::BTreeSet;
+    const HORIZON_US: u64 = WINDOW_US * FAR_SLOTS as u64;
     let mut rng = SimRng::seed_from(SEED).derive("timer-wheel");
     for _ in 0..6 {
         let mut queue = EventQueue::new();
-        // Reference model: pending (time, seq) pairs, popped min-first.
-        let mut reference: Vec<(SimTime, u64)> = Vec::new();
+        // Reference model: pending (time, seq) pairs, in pop order.
+        let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
         let mut seq = 0u64;
+        let mut schedule =
+            |queue: &mut EventQueue<u64>, reference: &mut BTreeSet<(SimTime, u64)>, at: SimTime| {
+                queue.schedule(at, seq);
+                reference.insert((at, seq));
+                seq += 1;
+            };
         // Pops are monotone, so schedules stay at/after the last pop.
         let mut now = SimTime::ZERO;
         for _ in 0..5_000 {
             if rng.chance(0.6) || reference.is_empty() {
+                if rng.chance(0.01) {
+                    // A same-instant burst at the last popped time.
+                    for _ in 0..rng.range_inclusive(500, 800) {
+                        schedule(&mut queue, &mut reference, now);
+                    }
+                    continue;
+                }
                 let at = if !reference.is_empty() && rng.chance(0.15) {
-                    // Exact tie with a random pending event.
-                    reference[rng.next_below(reference.len() as u64) as usize].0
+                    // Exact tie with a pending event: the first one due at
+                    // or after a random time in the next window.
+                    let probe = now + SimDuration::from_micros(rng.next_below(WINDOW_US));
+                    let tie = reference.range((probe, 0)..).next();
+                    tie.or(reference.last()).expect("non-empty").0
                 } else {
-                    let delta = match rng.next_below(8) {
+                    let delta = match rng.next_below(10) {
                         // Same-slot and near-wheel times.
                         0..=4 => rng.next_below(WINDOW_US / 2),
-                        // A few windows out (first overflow levels).
+                        // A few windows out (the far wheel's first slots).
                         5..=6 => rng.next_below(WINDOW_US * 8),
-                        // Far future: deep overflow, cascades on drain.
+                        // Within two windows of the far wheel's horizon.
+                        7 => HORIZON_US - 2 * WINDOW_US + rng.next_below(WINDOW_US * 4),
+                        // Up to three horizons: far wheel and overflow map.
+                        8 => rng.next_below(HORIZON_US * 3),
+                        // Deep overflow, cascades on drain.
                         _ => rng.next_below(WINDOW_US * 700),
                     };
                     now + SimDuration::from_micros(delta)
                 };
-                queue.schedule(at, seq);
-                reference.push((at, seq));
-                seq += 1;
+                schedule(&mut queue, &mut reference, at);
             } else {
+                let expected = reference.pop_first().expect("reference is non-empty");
+                assert_eq!(queue.peek_time(), Some(expected.0));
                 let (at, payload) = queue.pop().expect("reference is non-empty");
-                let min_idx = reference
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(t, s))| (t, s))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let expected = reference.swap_remove(min_idx);
                 assert_eq!((at, payload), expected);
                 assert!(at >= now, "pops must be monotone");
                 now = at;
             }
         }
         // Drain: the tail must come out fully sorted by (time, seq).
-        reference.sort_unstable();
-        for expected in reference {
-            let (at, payload) = queue.pop().expect("queue holds the reference tail");
-            assert_eq!((at, payload), expected);
+        while let Some(expected) = reference.pop_first() {
+            assert_eq!(queue.peek_time(), Some(expected.0));
+            assert_eq!(
+                queue.pop(),
+                Some(expected),
+                "queue holds the reference tail"
+            );
         }
+        assert_eq!(queue.peek_time(), None);
         assert!(queue.pop().is_none());
         assert!(queue.is_empty());
     }
